@@ -5,18 +5,21 @@ Append-only text file, one entry per line:
     <base64 certificate> <max value> <min value> <version>
 
 Lookups scan the whole file (desk scale); the last entry for a
-certificate wins.  Writes rewrite the file atomically via a temp file
-in the same directory.  Corrupt lines are skipped with a warning and
-never fatal; entries from another solver version are treated as misses.
+certificate wins.  A write appends one line under an exclusive
+``fcntl.flock``, so concurrent writers keep every entry; if the file
+ends mid-line (a writer was killed) the new entry starts on a fresh
+line.  Reads take a shared lock.  Corrupt lines are skipped with a
+warning and never fatal; entries from another solver version are
+treated as misses.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import fcntl
 import logging
 import os
-import tempfile
 from dataclasses import dataclass
 
 SOLVER_VERSION = "1"
@@ -50,6 +53,7 @@ def _load(path: str) -> list[CacheEntry]:
         return []
     out = []
     with open(path, "r", encoding="ascii", errors="replace") as fh:
+        fcntl.flock(fh, fcntl.LOCK_SH)
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -69,21 +73,14 @@ def cache_get(path: str, certificate: bytes) -> CacheEntry | None:
 
 
 def cache_put(path: str, entry: CacheEntry) -> None:
-    lines = []
-    if os.path.exists(path):
-        with open(path, "r", encoding="ascii", errors="replace") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    lines.append(
+    line = (
         f"{base64.b64encode(entry.certificate).decode('ascii')} "
-        f"{entry.max_value} {entry.min_value} {entry.version}"
-    )
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cache-")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        f"{entry.max_value} {entry.min_value} {entry.version}\n"
+    ).encode("ascii")
+    with open(path, "a+b") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                line = b"\n" + line
+        fh.write(line)

@@ -201,7 +201,7 @@ def cmd_play(args) -> int:
     def side(spec: str, which: str) -> Strategy:
         if args.interactive == which:
             return InteractiveStrategy()
-        return make_strategy(spec, seed=args.seed)
+        return make_strategy(spec, seed=args.seed, mode=args.mode)
 
     strat_first = side(args.first, "first")
     strat_second = side(args.second, "second")

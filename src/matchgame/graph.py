@@ -30,7 +30,7 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 @dataclass(frozen=True)

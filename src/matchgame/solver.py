@@ -8,19 +8,22 @@ and the player to move, which is what both memoisation modes exploit:
 
 * subset mode: positions are vertex subsets of the fixed root graph;
   the player to move is implied by parity, so masks alone are keys,
-* iso mode: positions are canonical certificates of the residual with
-  isolated vertices dropped, so isomorphic residuals share one entry
-  and the key carries the player explicitly.
+* iso mode: positions are sorted tuples of the canonical certificates
+  of the residual's components that have an edge, so isomorphic
+  residuals share one entry and the key carries the player explicitly.
+  A move changes only the component it lands in; what it leaves of a
+  component class is looked up in ``_moves``, shared by every solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
+from . import graph6
 from .canon import canonical_certificate
 from .graph import Edge, Graph, GraphError, bits, popcount, subgraph_mask
-from .matching import matching_number, min_maximal_number
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -92,51 +95,34 @@ def _mask_edges(adj: tuple[int, ...], mask: int):
             yield u, v
 
 
-class _BoundCache:
-    """Lazy alpha'/mu bounds per vertex mask, for optional pruning."""
-
-    def __init__(self, g: Graph) -> None:
-        self.g = g
-        self.alpha: dict[int, int] = {}
-        self.mu: dict[int, int] = {}
-
-    def alpha_of(self, mask: int) -> int:
-        if mask not in self.alpha:
-            self.alpha[mask] = matching_number(subgraph_mask(self.g, mask))
-        return self.alpha[mask]
-
-    def mu_of(self, mask: int) -> int:
-        if mask not in self.mu:
-            self.mu[mask] = min_maximal_number(subgraph_mask(self.g, mask))
-        return self.mu[mask]
-
-
 def solve(
     g: Graph,
     first: Player,
     mode: str = "subset",
     budget: int = DEFAULT_BUDGET,
-    pruning: bool = False,
 ) -> SolveResult:
     """Game value and the set of optimal first moves for ``first``.
 
-    ``pruning`` skips children whose alpha'/mu window provably cannot
-    move a node's optimum; values are unchanged, only work is saved.
     The root is always evaluated child by child so optimal_moves is the
     full argmax/argmin set, sorted.
     """
     if mode == "subset":
-        child_value = _subset_child_fn(g, first, budget, pruning)
+        child_value = _subset_child_fn(g, first, budget)
         children = [
             ((u, v), g.vertex_mask & ~(1 << u | 1 << v)) for u, v in g.edges()
         ]
         values = {e: 1 + child_value(m) for e, m in children}
     elif mode == "iso":
-        child_value = _iso_child_fn(g, budget, pruning)
-        values = {
-            (u, v): 1 + child_value(_strip(g, (u, v)), first.other)
-            for u, v in g.edges()
-        }
+        child_value = _iso_child_fn(budget)
+        comps = list(_split(g.adj, g.vertex_mask))
+        certs = [canonical_certificate(subgraph_mask(g, c)) for c in comps]
+        values = {}
+        for i, comp in enumerate(comps):
+            # a root edge changes only its own component
+            rest = tuple(certs[:i] + certs[i + 1:])
+            for u, v in _mask_edges(g.adj, comp):
+                child = tuple(sorted(rest + _pieces(g, comp & ~(1 << u | 1 << v))))
+                values[(u, v)] = 1 + child_value(child, first.other)
     else:
         raise GraphError(f"unknown solve mode {mode!r}")
     if not values:
@@ -146,11 +132,10 @@ def solve(
     return SolveResult(opt, moves)
 
 
-def _subset_child_fn(g: Graph, first: Player, budget: int, pruning: bool):
+def _subset_child_fn(g: Graph, first: Player, budget: int):
     adj = g.adj
     n = g.n
     memo: dict[int, int] = {}
-    bounds = _BoundCache(g) if pruning else None
 
     def value(mask: int) -> int:
         hit = memo.get(mask)
@@ -159,21 +144,10 @@ def _subset_child_fn(g: Graph, first: Player, budget: int, pruning: bool):
         moves_played = (n - popcount(mask)) // 2
         maximising = (moves_played % 2 == 0) == (first is Player.MAX)
         best = None
-        alpha_here = bounds.alpha_of(mask) if pruning else None
         for u, v in _mask_edges(adj, mask):
-            child = mask & ~(1 << u | 1 << v)
-            if pruning and best is not None:
-                if maximising and 1 + bounds.alpha_of(child) <= best:
-                    continue
-                if not maximising and 1 + bounds.mu_of(child) >= best:
-                    continue
-            val = 1 + value(child)
+            val = 1 + value(mask & ~(1 << u | 1 << v))
             if best is None or (val > best if maximising else val < best):
                 best = val
-            if pruning and maximising and best == alpha_here:
-                break
-            if pruning and not maximising and best == bounds.mu_of(mask):
-                break
         result = 0 if best is None else best
         if len(memo) >= budget:
             raise MemoBudgetError(f"memo table exceeded {budget} entries")
@@ -183,51 +157,59 @@ def _subset_child_fn(g: Graph, first: Player, budget: int, pruning: bool):
     return value
 
 
-def _strip(g: Graph, e: Edge) -> Graph:
-    # residual with isolated vertices removed, in one mask pass
-    u, v = e
-    keep = g.vertex_mask & ~(1 << u | 1 << v)
-    live = sum(1 << w for w in bits(keep) if g.adj[w] & keep)
-    return subgraph_mask(g, live)
+def _split(adj: tuple[int, ...], keep: int):
+    """Masks of the connected components of keep that have an edge."""
+    while keep:
+        comp = frontier = keep & -keep
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= adj[v]
+            frontier = reach & keep & ~comp
+            comp |= frontier
+        keep &= ~comp
+        if comp & (comp - 1):
+            yield comp
 
 
-def _iso_child_fn(g: Graph, budget: int, pruning: bool):
-    memo: dict[tuple[bytes, Player], int] = {}
+def _pieces(g: Graph, keep: int) -> tuple[bytes, ...]:
+    """Sorted certificates of the components of g[keep] that have an edge."""
+    return tuple(sorted(
+        canonical_certificate(subgraph_mask(g, c)) for c in _split(g.adj, keep)
+    ))
 
-    def value(h: Graph, player: Player, cert: bytes | None = None) -> int:
-        edges = list(h.edges())
-        if not edges:
+
+@lru_cache(maxsize=1 << 16)
+def _moves(cert: bytes) -> tuple[tuple[bytes, ...], ...]:
+    """The distinct piece tuples a move leaves of one component class."""
+    g = graph6.parse(cert.decode("ascii"))
+    return tuple(sorted(
+        {_pieces(g, g.vertex_mask & ~(1 << u | 1 << v)) for u, v in g.edges()}
+    ))
+
+
+def _iso_child_fn(budget: int):
+    memo: dict[tuple[tuple[bytes, ...], Player], int] = {}
+
+    def value(key: tuple[bytes, ...], player: Player) -> int:
+        if not key:
             return 0
-        if cert is None:
-            cert = canonical_certificate(h)
-        key = (cert, player)
-        hit = memo.get(key)
+        hit = memo.get((key, player))
         if hit is not None:
             return hit
         maximising = player is Player.MAX
-        children = {}
-        for e in edges:
-            child = _strip(h, e)
-            ck = canonical_certificate(child)
-            if ck not in children:
-                children[ck] = child
         best = None
-        alpha_here = matching_number(h) if pruning else None
-        for ck, child in children.items():
-            if pruning and best is not None:
-                if maximising and 1 + matching_number(child) <= best:
-                    continue
-                if not maximising and 1 + min_maximal_number(child) >= best:
-                    continue
-            val = 1 + value(child, player.other, ck)
-            if best is None or (val > best if maximising else val < best):
-                best = val
-            if pruning and maximising and best == alpha_here:
-                break
-        assert best is not None
+        for i, comp in enumerate(key):
+            if i and key[i - 1] == comp:
+                continue
+            rest = key[:i] + key[i + 1:]
+            for pieces in _moves(comp):
+                val = 1 + value(tuple(sorted(rest + pieces)), player.other)
+                if best is None or (val > best if maximising else val < best):
+                    best = val
         if len(memo) >= budget:
             raise MemoBudgetError(f"memo table exceeded {budget} entries")
-        memo[key] = best
+        memo[(key, player)] = best
         return best
 
     return value

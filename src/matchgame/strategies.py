@@ -383,10 +383,13 @@ STRATEGIES: dict[str, type[Strategy]] = {
 }
 
 
-def make_strategy(name: str, seed: int = 0) -> Strategy:
+def make_strategy(name: str, seed: int = 0, mode: str = "subset") -> Strategy:
+    """A fresh strategy; ``seed`` reaches only random, ``mode`` only exact."""
     if name not in STRATEGIES:
         known = ", ".join(sorted(STRATEGIES))
         raise GraphError(f"unknown strategy {name!r}; available: {known}")
     if name == "random":
         return RandomStrategy(seed)
+    if name == "exact":
+        return ExactStrategy(mode)
     return STRATEGIES[name]()

@@ -1,5 +1,6 @@
 import base64
 import logging
+import multiprocessing
 
 from matchgame.cache import SOLVER_VERSION, CacheEntry, cache_get, cache_put
 
@@ -56,3 +57,40 @@ def test_put_preserves_other_entries(tmp_path):
     cache_put(path, CacheEntry(b"b", 3, 3))
     assert cache_get(path, b"a") == CacheEntry(b"a", 1, 2)
     assert cache_get(path, b"b") == CacheEntry(b"b", 3, 3)
+
+
+def _write_many(path, writer, count, start):
+    start.wait()
+    for i in range(count):
+        cache_put(path, CacheEntry(f"w{writer}-{i}".encode(), i % 5, i % 7))
+
+
+def test_concurrent_writers_keep_every_entry(tmp_path):
+    path = str(tmp_path / "values.cache")
+    ctx = multiprocessing.get_context("spawn")
+    start = ctx.Barrier(4, timeout=60)  # all writers begin together
+    procs = [ctx.Process(target=_write_many, args=(path, w, 50, start)) for w in range(4)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(60)
+        assert p.exitcode == 0
+    with open(path) as fh:
+        assert len(fh.read().splitlines()) == 200
+    for w in range(4):
+        for i in range(50):
+            cert = f"w{w}-{i}".encode()
+            assert cache_get(path, cert) == CacheEntry(cert, i % 5, i % 7)
+
+
+def test_truncated_last_line_does_not_corrupt_next_entry(tmp_path, caplog):
+    path = str(tmp_path / "values.cache")
+    cache_put(path, CacheEntry(b"a", 1, 2))
+    with open(path, "a") as fh:
+        fh.write(base64.b64encode(b"killed").decode() + " 3")  # writer died mid-line
+    cache_put(path, CacheEntry(b"b", 3, 3))
+    with caplog.at_level(logging.WARNING, logger="matchgame.cache"):
+        assert cache_get(path, b"b") == CacheEntry(b"b", 3, 3)
+        assert cache_get(path, b"a") == CacheEntry(b"a", 1, 2)
+        assert cache_get(path, b"killed") is None
+    assert any("skipped" in r.getMessage() for r in caplog.records)

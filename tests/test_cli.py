@@ -137,6 +137,26 @@ def test_play_exact(capsys):
     assert "optimal value: 3 (matches optimal play)" in out
 
 
+def test_play_mode_reaches_exact_seats(capsys, monkeypatch):
+    import matchgame.cli as cli
+    from matchgame.strategies import make_strategy
+
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(make_strategy(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "make_strategy", recording)
+    finals = {}
+    for mode in ("subset", "iso"):
+        rc, out, _ = run(capsys, "play", "--gen", "path:9", "--mode", mode)
+        assert rc == 0 and "(matches optimal play)" in out
+        finals[mode] = [ln for ln in out.splitlines() if ln.startswith("final size:")]
+    assert [s.mode for s in made] == ["subset", "subset", "iso", "iso"]
+    assert finals["iso"] == finals["subset"] == ["final size: 4"]
+
+
 def test_play_suboptimal_tagged(capsys):
     rc, out, _ = run(
         capsys, "play", "--gen", "path:7", "--first", "greedy_first",

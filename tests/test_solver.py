@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from matchgame.families import comb, complete, cycle, path, star
+from matchgame.families import comb, complete, cycle, disjoint_union, path, star
 from matchgame.graph import GraphError, from_edges, residual, subgraph_mask
 from matchgame.solver import (
     GameState,
@@ -11,13 +12,14 @@ from matchgame.solver import (
     SolveResult,
     StrategyForfeit,
     Transcript,
+    _moves,
     game_values,
     play,
     solve,
     solve_naive,
 )
 from matchgame.strategies import Strategy, make_strategy
-from oracles import brute_game_value, random_graph
+from oracles import brute_game_value, permuted, random_graph
 
 MAX, MIN = Player.MAX, Player.MIN
 
@@ -67,13 +69,60 @@ def test_modes_and_oracles_agree(classes_le6):
             assert subset.value == brute_game_value(g, player is MAX)
 
 
-def test_pruning_is_value_safe(classes_le5):
-    for g in classes_le5:
+def _union(*graphs):
+    g = from_edges(0, [])
+    for h in graphs:
+        g = disjoint_union(g, h)
+    return g
+
+
+def _disconnected_cases():
+    rng = random.Random(31)
+    cases = [
+        _union(path(4), path(4), cycle(5), from_edges(1, [])),  # 2*P4 + C5 + K1
+        _union(complete(3), complete(3), complete(3)),  # 3*K3
+    ]
+    while len(cases) < 32:
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        if sizes[0] + sum(sizes) <= 11:
+            part = random_graph(rng, sizes[0], 0.6)
+            # repeat one part so isomorphic components meet in one key
+            cases.append(_union(part, *(random_graph(rng, k, 0.6) for k in sizes[1:]), part))
+    return cases
+
+
+def test_iso_keying_matches_subset_on_disconnected_graphs():
+    for g in _disconnected_cases():
         for player in (MAX, MIN):
-            for mode in ("subset", "iso"):
-                plain = solve(g, player, mode=mode)
-                pruned = solve(g, player, mode=mode, pruning=True)
-                assert plain == pruned
+            assert solve(g, player, mode="iso") == solve(g, player)
+
+
+def test_iso_value_invariant_under_relabelling():
+    rng = random.Random(5)
+    for g in _disconnected_cases()[:6] + [comb(2), cycle(9)]:
+        want = (solve(g, MAX, mode="iso").value, solve(g, MIN, mode="iso").value)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = permuted(g, perm)
+            assert (solve(h, MAX, mode="iso").value, solve(h, MIN, mode="iso").value) == want
+
+
+def test_iso_move_table_is_bounded_and_clearable():
+    solve(path(8), MAX, mode="iso")
+    info = _moves.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+    _moves.cache_clear()
+    assert _moves.cache_info().currsize == 0
+    assert solve(path(8), MAX, mode="iso").value == 3
+
+
+def test_iso_path_table_beyond_gate_two():
+    for n in range(29, 43):
+        mx = solve(path(n), MAX, mode="iso").value
+        assert 3 * (n // 7) <= mx <= 3 * math.ceil(n / 7), f"P_{n}: Max={mx}"
+        if n % 7 == 0:
+            assert mx == 3 * (n // 7), f"P_{n}: Max={mx}"
 
 
 def test_one_move_recursion():
