@@ -43,7 +43,6 @@ from .solver import (
     game_values,
     play,
     solve,
-    solve_naive,
 )
 from .strategies import STRATEGIES, Strategy, make_strategy
 from .verify import CHECKS, Report, Violation, run_check
@@ -62,7 +61,7 @@ __all__ = [
     "min_maximal_number", "is_maximal", "covering_max_matching",
     "compatibility_witness", "WitnessResult",
     "Player", "GameState", "SolveResult", "Transcript",
-    "solve", "solve_naive", "game_values", "play",
+    "solve", "game_values", "play",
     "MemoBudgetError", "StrategyForfeit", "DEFAULT_BUDGET",
     "Strategy", "STRATEGIES", "make_strategy",
     "CHECKS", "run_check", "Report", "Violation",

@@ -25,7 +25,7 @@ from . import graph6
 def canonical_certificate(g: Graph) -> bytes:
     """Certificate bytes; equal for isomorphic inputs (isolates ignored)."""
     keep = sum(1 << v for v in range(g.n) if g.adj[v])
-    h = subgraph_mask(g, keep)
+    h = g if keep == g.vertex_mask else subgraph_mask(g, keep)
     if h.n == 0:
         return graph6.emit(h).encode("ascii")
     if is_forest(h):

@@ -84,16 +84,6 @@ def exhaustive_classes(n: int) -> tuple[Graph, ...]:
     return tuple(reps[c] for c in sorted(reps))
 
 
-def labeled_class_count(n: int) -> int:
-    """Independent recount: certificate dedup of all labelled graphs."""
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    certs = set()
-    for code in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if code >> i & 1]
-        certs.add(canonical_certificate(from_edges(n, edges)))
-    return len(certs)
-
-
 @lru_cache(maxsize=None)
 def tree_classes(n: int) -> tuple[Graph, ...]:
     """One representative per tree class on n vertices (leaf growth)."""

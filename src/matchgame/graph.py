@@ -10,6 +10,7 @@ original relative order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 62
@@ -70,6 +71,11 @@ class Graph:
             upper = self.adj[u] >> (u + 1) << (u + 1)
             for v in bits(upper):
                 yield (u, v)
+
+    @cached_property
+    def edge_tuple(self) -> tuple[Edge, ...]:
+        """edges() as a tuple, built once per graph object."""
+        return tuple(self.edges())
 
     @property
     def edge_count(self) -> int:

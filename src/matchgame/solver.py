@@ -108,10 +108,10 @@ def solve(
     """
     if mode == "subset":
         child_value = _subset_child_fn(g, first, budget)
-        children = [
-            ((u, v), g.vertex_mask & ~(1 << u | 1 << v)) for u, v in g.edges()
-        ]
-        values = {e: 1 + child_value(m) for e, m in children}
+        values = {
+            (u, v): 1 + child_value(g.vertex_mask & ~(1 << u | 1 << v))
+            for u, v in g.edges()
+        }
     elif mode == "iso":
         child_value = _iso_child_fn(budget)
         comps = list(_split(g.adj, g.vertex_mask))
@@ -133,26 +133,55 @@ def solve(
 
 
 def _subset_child_fn(g: Graph, first: Player, budget: int):
-    adj = g.adj
-    n = g.n
-    memo: dict[int, int] = {}
+    """Value of a position of g, given as the mask of the vertices left.
 
-    def value(mask: int) -> int:
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        moves_played = (n - popcount(mask)) // 2
-        maximising = (moves_played % 2 == 0) == (first is Player.MAX)
-        best = None
-        for u, v in _mask_edges(adj, mask):
-            val = 1 + value(mask & ~(1 << u | 1 << v))
-            if best is None or (val > best if maximising else val < best):
-                best = val
-        result = 0 if best is None else best
+    A move is the edge mask ``1 << u | 1 << v`` of the root, legal where
+    both bits are set.  The memo is probed before each recursive call,
+    and a loop stops at a value no move can beat: ``popcount(mask) // 2``
+    for the maximiser, 1 for the minimiser.  Every memo entry is exact,
+    so the returned function can be asked any mask of g, in any order.
+    """
+    n = g.n
+    moves = [1 << u | 1 << v for u, v in g.edges()]
+    memo: dict[int, int] = {}
+    probe = memo.get
+    # the maximiser moves where (n - popcount(mask)) % 4 is this
+    max_phase = 0 if first is Player.MAX else 2
+
+    def search(mask: int) -> int:
+        k = popcount(mask)
+        if (n - k) % 4 == max_phase:
+            best, cap = 0, k // 2
+            for e in moves:
+                if mask & e == e:
+                    val = probe(mask ^ e)
+                    if val is None:
+                        val = search(mask ^ e)
+                    if val >= best:
+                        best = val + 1
+                        if best == cap:
+                            break
+        else:
+            best = k  # above any value: k >= 1 vertices hold <= k // 2 edges
+            for e in moves:
+                if mask & e == e:
+                    val = probe(mask ^ e)
+                    if val is None:
+                        val = search(mask ^ e)
+                    if val + 1 < best:
+                        best = val + 1
+                        if best == 1:
+                            break
+            if best == k:
+                best = 0
         if len(memo) >= budget:
             raise MemoBudgetError(f"memo table exceeded {budget} entries")
-        memo[mask] = result
-        return result
+        memo[mask] = best
+        return best
+
+    def value(mask: int) -> int:
+        hit = probe(mask)
+        return search(mask) if hit is None else hit
 
     return value
 
@@ -215,30 +244,6 @@ def _iso_child_fn(budget: int):
     return value
 
 
-def solve_naive(g: Graph, first: Player) -> SolveResult:
-    """Memo-free minimax for cross-checking; exponential, keep n small."""
-    adj = g.adj
-
-    def value(mask: int, maximising: bool) -> int:
-        best = 0
-        found = False
-        for u, v in _mask_edges(adj, mask):
-            val = 1 + value(mask & ~(1 << u | 1 << v), not maximising)
-            if not found or (val > best if maximising else val < best):
-                best = val
-                found = True
-        return best
-
-    values = {
-        (u, v): 1 + value(g.vertex_mask & ~(1 << u | 1 << v), first is Player.MIN)
-        for u, v in g.edges()
-    }
-    if not values:
-        return SolveResult(0, ())
-    opt = max(values.values()) if first is Player.MAX else min(values.values())
-    return SolveResult(opt, tuple(sorted(e for e, v in values.items() if v == opt)))
-
-
 def game_values(g: Graph, mode: str = "subset", budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """(Max-start value, Min-start value)."""
     return (
@@ -258,6 +263,9 @@ def play(g: Graph, first: Player, strat_first, strat_second) -> Transcript:
     seats = {first: strat_first, first.other: strat_second}
     for strat in {id(s): s for s in seats.values()}.values():
         strat.reset(g)
+    # moves are the root's own edge tuples, so transcripts of one graph
+    # share their edges instead of holding copies
+    root_edges = {e: e for e in g.edge_tuple}
     mask = g.vertex_mask
     history: list[tuple[Edge, Player]] = []
     player = first
@@ -273,7 +281,7 @@ def play(g: Graph, first: Player, strat_first, strat_second) -> Transcript:
             raise StrategyForfeit(
                 f"{seats[player].name} returned {move!r}, not a residual edge"
             )
-        root_edge = state.to_root((min(u, v), max(u, v)))
+        root_edge = root_edges[state.to_root((min(u, v), max(u, v)))]
         history.append((root_edge, player))
         mask &= ~(1 << root_edge[0] | 1 << root_edge[1])
         player = player.other

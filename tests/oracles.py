@@ -2,14 +2,19 @@
 
 Everything here is deliberately dumb: plain enumeration over edge
 subsets, permutations, or move sequences.  No algorithm under test is
-reused, only the Graph container.
+reused, only the Graph container and the solver's result types, with
+one exception: ``labeled_class_count`` dedups labelled graphs by
+``canonical_certificate``, to recount what the corpus grows by vertex
+extension.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from matchgame.graph import Graph, residual
+from matchgame.canon import canonical_certificate
+from matchgame.graph import Graph, from_edges, residual
+from matchgame.solver import Player, SolveResult
 
 
 def all_matchings(g: Graph):
@@ -88,14 +93,44 @@ def brute_game_value(g: Graph, maximizing: bool) -> int:
     return max(vals) if maximizing else min(vals)
 
 
+def solve_naive(g: Graph, first: Player) -> SolveResult:
+    """Memo-free minimax over vertex masks; exponential, keep n small."""
+    n, adj = g.n, g.adj
+
+    def value(mask: int, maximising: bool) -> int:
+        vals = [
+            1 + value(mask & ~(1 << u | 1 << v), not maximising)
+            for u in range(n) if mask >> u & 1
+            for v in range(u + 1, n) if mask >> v & 1 and adj[u] >> v & 1
+        ]
+        if not vals:
+            return 0
+        return max(vals) if maximising else min(vals)
+
+    values = {
+        (u, v): 1 + value(g.vertex_mask & ~(1 << u | 1 << v), first is Player.MIN)
+        for u, v in g.edges()
+    }
+    if not values:
+        return SolveResult(0, ())
+    opt = max(values.values()) if first is Player.MAX else min(values.values())
+    return SolveResult(opt, tuple(sorted(e for e, v in values.items() if v == opt)))
+
+
+def labeled_class_count(n: int) -> int:
+    """Independent recount: certificate dedup of all labelled graphs."""
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    certs = set()
+    for code in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if code >> i & 1]
+        certs.add(canonical_certificate(from_edges(n, edges)))
+    return len(certs)
+
+
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    from matchgame.graph import from_edges
-
     return from_edges(n, edges)
 
 
 def permuted(g: Graph, perm) -> Graph:
-    from matchgame.graph import from_edges
-
     return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

@@ -26,9 +26,10 @@ from matchgame.families import (
 )
 from matchgame.graph import induced_delete
 from matchgame.matching import matching_number
-from matchgame.solver import Player, game_values, play, solve, solve_naive
+from matchgame.solver import Player, game_values, play, solve
 from matchgame.strategies import make_strategy
 from matchgame.verify import run_check
+from oracles import solve_naive
 
 MAX, MIN = Player.MAX, Player.MIN
 

@@ -7,13 +7,13 @@ from matchgame.corpus import (
     corpus_from_spec,
     exhaustive_classes,
     family_items,
-    labeled_class_count,
     parse_range,
     random_forests,
     tree_classes,
 )
 from matchgame.graph import GraphError, is_connected, is_forest
 from matchgame.graph6 import emit
+from oracles import labeled_class_count
 
 EXHAUSTIVE_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}

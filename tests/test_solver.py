@@ -16,10 +16,9 @@ from matchgame.solver import (
     game_values,
     play,
     solve,
-    solve_naive,
 )
 from matchgame.strategies import Strategy, make_strategy
-from oracles import brute_game_value, permuted, random_graph
+from oracles import brute_game_value, permuted, random_graph, solve_naive
 
 MAX, MIN = Player.MAX, Player.MIN
 
@@ -67,6 +66,14 @@ def test_modes_and_oracles_agree(classes_le6):
             naive = solve_naive(g, player)
             assert subset == naive == iso
             assert subset.value == brute_game_value(g, player is MAX)
+
+
+def test_subset_matches_naive_on_random_graphs():
+    rng = random.Random(17)
+    for _ in range(12):
+        g = random_graph(rng, 9, 0.4)
+        for player in (MAX, MIN):
+            assert solve(g, player) == solve_naive(g, player)
 
 
 def _union(*graphs):
@@ -240,3 +247,11 @@ def test_transcripts_stay_within_trivial_bounds(classes_le5):
         for first in (MAX, MIN):
             t = play(g, first, make_strategy("exact"), make_strategy("exact"))
             assert min_maximal_number(g) <= t.final_size <= matching_number(g)
+
+
+def test_transcripts_of_one_graph_share_edge_objects():
+    g = cycle(8)
+    a = play(g, MAX, make_strategy("exact"), make_strategy("exact"))
+    b = play(g, MAX, make_strategy("exact"), make_strategy("exact"))
+    assert a.moves == b.moves
+    assert all(x is y for x, y in zip(a.moves, b.moves))

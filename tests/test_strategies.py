@@ -16,7 +16,7 @@ from matchgame.families import (
 from matchgame.graph import GraphError, from_edges, is_forest
 from matchgame.matching import is_maximal, matching_number, min_maximal_number
 from matchgame.solver import GameState, Player, play, solve
-from matchgame.strategies import STRATEGIES, MinCombStrategy, make_strategy
+from matchgame.strategies import STRATEGIES, MinCombStrategy, Strategy, make_strategy
 from oracles import all_matchings, random_graph
 
 MAX, MIN = Player.MAX, Player.MIN
@@ -220,3 +220,41 @@ def test_registry_names_match_instances():
         assert cls.name == name
         strat = make_strategy(name, seed=9)
         assert strat.name == name
+
+
+class _PerTurnExact(Strategy):
+    """Reference: the least optimal move of a fresh solve each turn."""
+
+    name = "per_turn_exact"
+
+    def choose(self, state):
+        return solve(state.residual, state.to_move).optimal_moves[0]
+
+
+def _seeded_graphs(seed, count, sizes=(2, 10)):
+    rng = random.Random(seed)
+    return [random_graph(rng, rng.randint(*sizes), rng.choice((0.3, 0.5, 0.7)))
+            for _ in range(count)]
+
+
+def test_exact_table_plays_the_per_turn_moves():
+    ref = _PerTurnExact()
+    for i, g in enumerate(_seeded_graphs(41, 30) + [path(9), cycle(10)]):
+        for first in (MAX, MIN):
+            exact = make_strategy("exact")
+            want = play(g, first, ref, ref).moves
+            assert play(g, first, exact, exact).moves == want
+            rand = make_strategy("random", seed=i)
+            want = play(g, first, ref, rand).moves
+            assert play(g, first, make_strategy("exact"), rand).moves == want
+            want = play(g, first, rand, ref).moves
+            assert play(g, first, rand, make_strategy("exact")).moves == want
+
+
+def test_exact_table_is_not_carried_to_the_next_root():
+    ref = _PerTurnExact()
+    exact = make_strategy("exact")
+    graphs = _seeded_graphs(43, 12, sizes=(8, 8)) + [path(8), cycle(8), complete(8)]
+    for g in graphs:
+        for first in (MAX, MIN):
+            assert play(g, first, exact, exact).moves == play(g, first, ref, ref).moves
