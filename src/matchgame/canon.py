@@ -195,6 +195,20 @@ class _Canonizer:
             explored.append(v)
 
 
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms of g, as tuples mapping v to perm[v], isolates kept.
+
+    These are the automorphisms the individualisation-refinement search
+    finds at equal leaves.  They always generate a subgroup of Aut(g),
+    and on every graph with at most six vertices the whole group.
+    """
+    if g.n == 0:
+        return []
+    search = _Canonizer(g)
+    search.run()
+    return search.gens
+
+
 def _canonical_ir(g: Graph) -> Graph:
     perm = _Canonizer(g).run()
     pos = {v: i for i, v in enumerate(perm)}

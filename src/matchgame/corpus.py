@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import graph6
-from .canon import canonical_certificate
+from .canon import automorphism_generators, canonical_certificate
 from .families import (
     FAMILIES,
     build_family,
@@ -40,10 +40,11 @@ from .families import (
     path,
     paw,
 )
-from .graph import Graph, GraphError, from_edges, is_connected
+from .graph import Graph, GraphError, bits, from_edges, is_connected
 
 EXHAUSTIVE_LIMIT = 7
 CUBIC_LIMIT = 14
+_CUBIC_RANGE = f"connected cubic corpus needs even 4 <= n <= {CUBIC_LIMIT}"
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,34 @@ class CorpusItem:
     params: tuple[int, ...] = ()
 
 
+# -- orbit pruning ----------------------------------------------------------
+
+
+def _least_in_orbit(keys, images):
+    """Yield each key that comes first in its orbit.
+
+    ``keys`` visits a set closed under a group, and ``images(key)``
+    lists the images of a key under generators of that group.  A key
+    not yet met in an earlier orbit opens its own orbit, whose other
+    members are then skipped when they come up.
+    """
+    later: set = set()
+    for key in keys:
+        if key in later:
+            later.discard(key)
+            continue
+        yield key
+        orbit = {key}
+        stack = [key]
+        while stack:
+            for image in images(stack.pop()):
+                if image not in orbit:
+                    orbit.add(image)
+                    stack.append(image)
+        orbit.discard(key)
+        later |= orbit
+
+
 # -- exhaustive isomorphism classes ---------------------------------------
 
 
@@ -62,9 +91,15 @@ def exhaustive_classes(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class on exactly n vertices.
 
     Representatives on n vertices are built by attaching a new vertex
-    to every subset of every (n-1)-vertex representative; every class
+    to subsets of every (n-1)-vertex representative; every class
     arises this way because deleting any vertex of any n-vertex graph
-    leaves an (n-1)-vertex graph.  Certificates dedup the candidates
+    leaves an (n-1)-vertex graph.  Subsets are visited in ascending
+    order, and a subset is skipped unless it is the smallest in its
+    orbit under the parent's automorphisms (isolated vertices
+    included): an automorphism maps the subset to a smaller one whose
+    candidate is isomorphic and came first.  The first candidate of
+    each class is therefore never skipped, and the representatives are
+    the ones an unpruned sweep keeps.  Certificates dedup the rest
     (certificates ignore isolated vertices, which is sound here since
     all candidates share the same order).
     """
@@ -74,7 +109,12 @@ def exhaustive_classes(n: int) -> tuple[Graph, ...]:
         return (Graph(0, ()),)
     reps: dict[bytes, Graph] = {}
     for g in exhaustive_classes(n - 1):
-        for sub in range(1 << (n - 1)):
+        gens = automorphism_generators(g)
+
+        def images(sub: int) -> list[int]:
+            return [sum(1 << p[v] for v in bits(sub)) for p in gens]
+
+        for sub in _least_in_orbit(range(1 << (n - 1)), images):
             adj = [m | ((sub >> v & 1) << (n - 1)) for v, m in enumerate(g.adj)]
             adj.append(sub)
             cand = Graph(n, tuple(adj))
@@ -121,6 +161,32 @@ def _partitions_min3(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _layout_generators(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(perm, inverse) pairs generating the symmetries of a 2-factor layout.
+
+    The cycles lie on consecutive labels in the order of ``parts``; the
+    group is generated by one rotation and one reflection per cycle and
+    by exchanging each cycle with the next one of equal length.
+    """
+    n = sum(parts)
+    gens = []
+    start = 0
+    for i, length in enumerate(parts):
+        rot, ref = list(range(n)), list(range(n))
+        for k in range(length):
+            rot[start + k] = start + (k + 1) % length
+            ref[start + k] = start + (-k) % length
+        gens += [rot, ref]
+        if i and parts[i - 1] == length:
+            swap = list(range(n))
+            swap[start - length:start + length] = (
+                list(range(start, start + length)) + list(range(start - length, start))
+            )
+            gens.append(swap)
+        start += length
+    return [(tuple(p), tuple(sorted(range(n), key=p.__getitem__))) for p in gens]
+
+
 @lru_cache(maxsize=None)
 def connected_cubic_classes(n: int) -> tuple[Graph, ...]:
     """All connected 3-regular classes on n vertices, n even, n <= 14.
@@ -131,13 +197,22 @@ def connected_cubic_classes(n: int) -> tuple[Graph, ...]:
     decomposes into a 2-factor plus a perfect matching.  Laying the
     2-factor out canonically as consecutive cycles and enumerating the
     compatible perfect matchings therefore reaches every class.
+
+    The matchings of a layout are visited in ascending order of their
+    partner tuples, and a matching is skipped unless it is the least
+    in its orbit under the layout's symmetries (rotating or reflecting
+    a cycle, exchanging two cycles of equal length): such a symmetry
+    maps the 2-factor to itself and the matching to a smaller one whose
+    candidate is isomorphic and came first.  The first candidate of
+    each class is therefore never skipped, and the representatives are
+    the ones an unpruned sweep keeps.
     """
     if n % 2 or not 4 <= n <= CUBIC_LIMIT:
-        raise GraphError(f"connected cubic corpus needs even 4 <= n <= {CUBIC_LIMIT}")
+        raise GraphError(_CUBIC_RANGE)
+    full = (1 << n) - 1
     reps: dict[bytes, Graph] = {}
     for parts in _partitions_min3(n):
         cycle_adj = [0] * n
-        banned = set()
         start = 0
         for length in parts:
             for i in range(length):
@@ -145,29 +220,27 @@ def connected_cubic_classes(n: int) -> tuple[Graph, ...]:
                 b = start + (i + 1) % length
                 cycle_adj[a] |= 1 << b
                 cycle_adj[b] |= 1 << a
-                banned.add((min(a, b), max(a, b)))
             start += length
+        mate = [0] * n
 
-        def matchings(covered: int, acc: list[tuple[int, int]]):
-            if covered == (1 << n) - 1:
-                yield acc
+        def matchings(covered: int):
+            if covered == full:
+                yield tuple(mate)
                 return
-            v = 0
-            while covered >> v & 1:
-                v += 1
+            v = (~covered & (covered + 1)).bit_length() - 1
             for u in range(v + 1, n):
-                if covered >> u & 1 or (v, u) in banned:
+                if covered >> u & 1 or cycle_adj[v] >> u & 1:
                     continue
-                acc.append((v, u))
-                yield from matchings(covered | 1 << v | 1 << u, acc)
-                acc.pop()
+                mate[v], mate[u] = u, v
+                yield from matchings(covered | 1 << v | 1 << u)
 
-        for pm in matchings(0, []):
-            adj = list(cycle_adj)
-            for u, v in pm:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            cand = Graph(n, tuple(adj))
+        gens = _layout_generators(parts)
+
+        def images(m: tuple[int, ...]) -> list[tuple[int, ...]]:
+            return [tuple([p[m[w]] for w in inv]) for p, inv in gens]
+
+        for pm in _least_in_orbit(matchings(0), images):
+            cand = Graph(n, tuple(a | 1 << pm[v] for v, a in enumerate(cycle_adj)))
             if not is_connected(cand):
                 continue
             cert = canonical_certificate(cand)
@@ -282,10 +355,12 @@ def corpus_from_spec(spec: str, default_seed: int = 0) -> list[CorpusItem]:
             for g in tree_classes(n)
         ]
     if kind == "cubic":
+        orders = [n for n in parse_range(rest) if n % 2 == 0]
+        if not orders:
+            raise GraphError(_CUBIC_RANGE)
         return [
             CorpusItem(g, graph6.emit(g))
-            for n in parse_range(rest)
-            if n % 2 == 0
+            for n in orders
             for g in connected_cubic_classes(n)
         ]
     if kind == "family":

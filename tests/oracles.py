@@ -3,17 +3,22 @@
 Everything here is deliberately dumb: plain enumeration over edge
 subsets, permutations, or move sequences.  No algorithm under test is
 reused, only the Graph container and the solver's result types, with
-one exception: ``labeled_class_count`` dedups labelled graphs by
+these exceptions: ``labeled_class_count`` dedups labelled graphs by
 ``canonical_certificate``, to recount what the corpus grows by vertex
-extension.
+extension, and ``exhaustive_classes`` and ``connected_cubic_classes``
+are the corpus generators as they were before orbit pruning (every
+candidate canonicalised), kept as the reference the pruned generators
+must reproduce exactly.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from matchgame.canon import canonical_certificate
-from matchgame.graph import Graph, from_edges, residual
+from matchgame.corpus import CUBIC_LIMIT, EXHAUSTIVE_LIMIT, _partitions_min3
+from matchgame.graph import Graph, GraphError, from_edges, is_connected, residual
 from matchgame.solver import Player, SolveResult
 
 
@@ -134,3 +139,85 @@ def random_graph(rng, n: int, p: float = 0.5) -> Graph:
 
 def permuted(g: Graph, perm) -> Graph:
     return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@lru_cache(maxsize=None)
+def exhaustive_classes(n: int) -> tuple[Graph, ...]:
+    """One representative per isomorphism class on exactly n vertices.
+
+    Representatives on n vertices are built by attaching a new vertex
+    to every subset of every (n-1)-vertex representative; every class
+    arises this way because deleting any vertex of any n-vertex graph
+    leaves an (n-1)-vertex graph.  Certificates dedup the candidates
+    (certificates ignore isolated vertices, which is sound here since
+    all candidates share the same order).
+    """
+    if not 0 <= n <= EXHAUSTIVE_LIMIT:
+        raise GraphError(f"exhaustive corpus built-in only for n <= {EXHAUSTIVE_LIMIT}")
+    if n == 0:
+        return (Graph(0, ()),)
+    reps: dict[bytes, Graph] = {}
+    for g in exhaustive_classes(n - 1):
+        for sub in range(1 << (n - 1)):
+            adj = [m | ((sub >> v & 1) << (n - 1)) for v, m in enumerate(g.adj)]
+            adj.append(sub)
+            cand = Graph(n, tuple(adj))
+            cert = canonical_certificate(cand)
+            if cert not in reps:
+                reps[cert] = cand
+    return tuple(reps[c] for c in sorted(reps))
+
+
+@lru_cache(maxsize=None)
+def connected_cubic_classes(n: int) -> tuple[Graph, ...]:
+    """All connected 3-regular classes on n vertices, n even, n <= 14.
+
+    Every cubic graph on at most 14 vertices has a perfect matching
+    (a cubic graph without one needs three odd pieces of at least five
+    vertices hanging off a cut vertex, so 16 vertices at least), hence
+    decomposes into a 2-factor plus a perfect matching.  Laying the
+    2-factor out canonically as consecutive cycles and enumerating the
+    compatible perfect matchings therefore reaches every class.
+    """
+    if n % 2 or not 4 <= n <= CUBIC_LIMIT:
+        raise GraphError(f"connected cubic corpus needs even 4 <= n <= {CUBIC_LIMIT}")
+    reps: dict[bytes, Graph] = {}
+    for parts in _partitions_min3(n):
+        cycle_adj = [0] * n
+        banned = set()
+        start = 0
+        for length in parts:
+            for i in range(length):
+                a = start + i
+                b = start + (i + 1) % length
+                cycle_adj[a] |= 1 << b
+                cycle_adj[b] |= 1 << a
+                banned.add((min(a, b), max(a, b)))
+            start += length
+
+        def matchings(covered: int, acc: list[tuple[int, int]]):
+            if covered == (1 << n) - 1:
+                yield acc
+                return
+            v = 0
+            while covered >> v & 1:
+                v += 1
+            for u in range(v + 1, n):
+                if covered >> u & 1 or (v, u) in banned:
+                    continue
+                acc.append((v, u))
+                yield from matchings(covered | 1 << v | 1 << u, acc)
+                acc.pop()
+
+        for pm in matchings(0, []):
+            adj = list(cycle_adj)
+            for u, v in pm:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            cand = Graph(n, tuple(adj))
+            if not is_connected(cand):
+                continue
+            cert = canonical_certificate(cand)
+            if cert not in reps:
+                reps[cert] = cand
+    return tuple(reps[c] for c in sorted(reps))

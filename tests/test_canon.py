@@ -1,8 +1,14 @@
 import random
+from itertools import permutations
 
 import pytest
 
-from matchgame.canon import are_isomorphic, canonical_certificate, canonical_form
+from matchgame.canon import (
+    are_isomorphic,
+    automorphism_generators,
+    canonical_certificate,
+    canonical_form,
+)
 from matchgame.corpus import exhaustive_classes
 from matchgame.families import complete, cycle, disjoint_union, path, star
 from matchgame.graph import from_edges
@@ -112,3 +118,52 @@ def test_highly_symmetric_graphs():
     perm = list(range(10))
     rng.shuffle(perm)
     assert are_isomorphic(petersen, permuted(petersen, perm))
+
+
+def _is_automorphism(g, perm) -> bool:
+    if sorted(perm) != list(range(g.n)):
+        return False
+    return all(
+        sum(1 << perm[u] for u in range(g.n) if g.adj[v] >> u & 1) == g.adj[perm[v]]
+        for v in range(g.n)
+    )
+
+
+def _generated_group(n: int, gens) -> set:
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        p = stack.pop()
+        for gen in gens:
+            q = tuple(gen[x] for x in p)
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return group
+
+
+def test_automorphism_generators_are_automorphisms():
+    rng = random.Random(11)
+    graphs = [g for n in range(8) for g in exhaustive_classes(n)]
+    # isolated vertices next to edges, and seeded relabellings
+    graphs += [from_edges(8, list(cycle(5).edges())), from_edges(6, [(1, 4)])]
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, p=rng.choice([0.1, 0.3, 0.5, 0.8]))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs += [g, permuted(g, perm)]
+    for g in graphs:
+        for gen in automorphism_generators(g):
+            assert len(gen) == g.n and _is_automorphism(g, gen)
+
+
+def test_automorphism_generators_swap_isolated_vertices():
+    g = from_edges(6, [(0, 1)])
+    assert len(_generated_group(6, automorphism_generators(g))) == 2 * 24
+
+
+def test_automorphism_generators_generate_the_whole_group_n_le_6(classes_le6):
+    for g in classes_le6:
+        brute = {p for p in permutations(range(g.n)) if _is_automorphism(g, p)}
+        assert _generated_group(g.n, automorphism_generators(g)) == brute

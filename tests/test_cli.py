@@ -115,6 +115,13 @@ def test_verify_fail_lists_violations(capsys, tmp_path):
     assert records.read_text().strip().endswith("fail")
 
 
+def test_verify_cubic_spec_without_even_order_fails(capsys):
+    rc, out, err = run(capsys, "verify", "--check", "diff_le_one", "--corpus", "cubic:7")
+    assert rc == 1
+    assert "pass" not in out
+    assert "connected cubic corpus needs even 4 <= n <= 14" in err
+
+
 def test_verify_unknown_check(capsys):
     rc, _, err = run(capsys, "verify", "--check", "nope", "--corpus", "exhaustive:3")
     assert rc == 2 and "available" in err

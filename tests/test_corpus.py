@@ -1,7 +1,10 @@
 import pytest
 
+import matchgame.corpus as corpus
 from matchgame.canon import canonical_certificate
 from matchgame.corpus import (
+    CUBIC_LIMIT,
+    EXHAUSTIVE_LIMIT,
     CorpusItem,
     connected_cubic_classes,
     corpus_from_spec,
@@ -13,11 +16,12 @@ from matchgame.corpus import (
 )
 from matchgame.graph import GraphError, is_connected, is_forest
 from matchgame.graph6 import emit
+import oracles
 from oracles import labeled_class_count
 
 EXHAUSTIVE_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
-CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
+CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
 
 
 def test_exhaustive_counts_and_distinctness():
@@ -64,9 +68,48 @@ def test_cubic_counts_small():
         connected_cubic_classes(16)
 
 
-@pytest.mark.slow
 def test_cubic_count_n12():
     assert len(connected_cubic_classes(12)) == CUBIC_COUNTS[12]
+
+
+@pytest.mark.slow
+def test_cubic_count_n14():
+    assert len(connected_cubic_classes(14)) == CUBIC_COUNTS[14]
+
+
+def test_exhaustive_matches_unpruned_reference():
+    # orbit pruning keeps the same representatives in the same order
+    for n in range(EXHAUSTIVE_LIMIT + 1):
+        assert exhaustive_classes(n) == oracles.exhaustive_classes(n)
+
+
+def test_cubic_matches_unpruned_reference():
+    for n in (4, 6, 8, 10):
+        assert connected_cubic_classes(n) == oracles.connected_cubic_classes(n)
+
+
+def test_pruning_canonicalises_one_candidate_per_orbit(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        corpus, "canonical_certificate", lambda g: calls.append(g) or canonical_certificate(g)
+    )
+    exhaustive_classes.cache_clear()
+    connected_cubic_classes.cache_clear()
+    exhaustive_classes(6)
+    calls.clear()
+    exhaustive_classes(7)
+    # orbits of subsets under Aut(parent), summed over the 156 parents
+    assert len(calls) == 5096
+    # connected matchings that are least under their layout's symmetries
+    for n, orbits in ((10, 54), (12, 392)):
+        calls.clear()
+        connected_cubic_classes(n)
+        assert len(calls) == orbits
+
+
+@pytest.mark.slow
+def test_cubic_matches_unpruned_reference_n12():
+    assert connected_cubic_classes(12) == oracles.connected_cubic_classes(12)
 
 
 def test_random_forests_deterministic_and_valid():
@@ -150,3 +193,10 @@ def test_corpus_from_spec_errors():
         corpus_from_spec("named:nope")
     with pytest.raises(FileNotFoundError):
         corpus_from_spec("file:/does/not/exist.g6")
+
+
+def test_cubic_spec_without_even_order_is_an_error():
+    limit = f"connected cubic corpus needs even 4 <= n <= {CUBIC_LIMIT}"
+    for spec in ("cubic:7", "cubic:3", "cubic:9..9", f"cubic:{CUBIC_LIMIT + 1}"):
+        with pytest.raises(GraphError, match=limit):
+            corpus_from_spec(spec)
