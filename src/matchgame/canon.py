@@ -18,7 +18,7 @@ invariant condition so classes never straddle them:
 
 from __future__ import annotations
 
-from .graph import Graph, bits, component_masks, is_forest, popcount, subgraph_mask
+from .graph import Graph, _derived, bits, component_masks, is_forest, popcount, subgraph_mask
 from . import graph6
 
 
@@ -90,7 +90,7 @@ def _canonical_forest(g: Graph) -> Graph:
                 stack.append(vid)
             else:
                 stack.pop()
-    return Graph(g.n, tuple(adj))
+    return _derived(g.n, tuple(adj))
 
 
 # -- individualisation-refinement --------------------------------------
@@ -216,4 +216,4 @@ def _canonical_ir(g: Graph) -> Graph:
     for i, v in enumerate(perm):
         for u in bits(g.adj[v]):
             adj[i] |= 1 << pos[u]
-    return Graph(g.n, tuple(adj))
+    return _derived(g.n, tuple(adj))

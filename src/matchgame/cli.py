@@ -236,9 +236,19 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gen", help="family spec NAME[:P1,P2,...]")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_solver_args(p: argparse.ArgumentParser, default_mode: str = "subset") -> None:
     p.add_argument("--mode", choices=["subset", "iso"], default=default_mode)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="memo entry cap")
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="memo entry cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True)
     p.add_argument("--corpus", required=True, help="corpus spec, e.g. exhaustive:5")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--records", help="write line-delimited records to this path")
     _add_solver_args(p)
     p.set_defaults(func=cmd_verify)

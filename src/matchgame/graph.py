@@ -5,6 +5,12 @@ vertex subset and component fits in a single Python int used as a bit
 mask.  Graphs are immutable; all derived graphs (residuals, induced
 subgraphs) relabel the surviving vertices to 0..m-1 preserving their
 original relative order.
+
+``Graph(...)`` validates its input, and so do ``from_edges`` and
+``graph6.parse``, the ways a graph enters from outside.  A graph the
+package derives from a valid ``Graph`` (an induced subgraph, a
+canonical relabelling) is valid by construction, so it is built with
+``_derived``, which skips that check.
 """
 
 from __future__ import annotations
@@ -92,6 +98,13 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
 
 
+def _derived(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph from masks derived from a valid Graph, not re-validated."""
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, adj=adj)
+    return g
+
+
 def from_edges(n: int, edges: Iterable[Edge]) -> Graph:
     """Build a Graph from an edge list; rejects loops and out-of-range ids."""
     adj = [0] * n
@@ -120,7 +133,7 @@ def subgraph_mask(g: Graph, keep: int) -> Graph:
         for u in bits(g.adj[v] & keep):
             mask |= 1 << pos[u]
         adj.append(mask)
-    return Graph(len(old), tuple(adj))
+    return _derived(len(old), tuple(adj))
 
 
 def induced_delete(g: Graph, remove: Iterable[int]) -> Graph:

@@ -13,6 +13,9 @@ and the player to move, which is what both memoisation modes exploit:
   residuals share one entry and the key carries the player explicitly.
   A move changes only the component it lands in; what it leaves of a
   component class is looked up in ``_moves``, shared by every solve.
+  The labelled root is canonicalised once per graph, not once per
+  player: ``_iso_root`` keeps each root edge with the key it leaves,
+  and the other player's solve of an equal graph reads it back.
 """
 
 from __future__ import annotations
@@ -114,15 +117,7 @@ def solve(
         }
     elif mode == "iso":
         child_value = _iso_child_fn(budget)
-        comps = list(_split(g.adj, g.vertex_mask))
-        certs = [canonical_certificate(subgraph_mask(g, c)) for c in comps]
-        values = {}
-        for i, comp in enumerate(comps):
-            # a root edge changes only its own component
-            rest = tuple(certs[:i] + certs[i + 1:])
-            for u, v in _mask_edges(g.adj, comp):
-                child = tuple(sorted(rest + _pieces(g, comp & ~(1 << u | 1 << v))))
-                values[(u, v)] = 1 + child_value(child, first.other)
+        values = {e: 1 + child_value(key, first.other) for e, key in _iso_root(g)}
     else:
         raise GraphError(f"unknown solve mode {mode!r}")
     if not values:
@@ -215,6 +210,29 @@ def _moves(cert: bytes) -> tuple[tuple[bytes, ...], ...]:
     return tuple(sorted(
         {_pieces(g, g.vertex_mask & ~(1 << u | 1 << v)) for u, v in g.edges()}
     ))
+
+
+@lru_cache(maxsize=1 << 10)
+def _iso_root(g: Graph) -> tuple[tuple[Edge, tuple[bytes, ...]], ...]:
+    """Each edge of the labelled root g, with the iso key it leaves.
+
+    Callers that want both values (``game_values``, ``table``, ``verify``,
+    ``solve --cache``) solve the second player right after the first, so
+    a small bound keeps those hits and keeps a long sweep's memory flat.
+    """
+    comps = list(_split(g.adj, g.vertex_mask))
+    # a root edge changes only its own component; the others are the
+    # rest of the key, and a connected root has no others
+    certs = (
+        [canonical_certificate(subgraph_mask(g, c)) for c in comps]
+        if len(comps) > 1 else []
+    )
+    out = []
+    for i, comp in enumerate(comps):
+        rest = tuple(certs[:i] + certs[i + 1:])
+        for u, v in _mask_edges(g.adj, comp):
+            out.append(((u, v), tuple(sorted(rest + _pieces(g, comp & ~(1 << u | 1 << v))))))
+    return tuple(out)
 
 
 def _iso_child_fn(budget: int):

@@ -10,7 +10,6 @@ integer arithmetic.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -519,6 +518,9 @@ def run_check(
     start = time.perf_counter()
     violations: list[Violation] = []
     if jobs > 1:
+        # imported here, so one-process runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for vios in pool.map(
                 _check_item,

@@ -34,7 +34,7 @@ from oracles import solve_naive
 MAX, MIN = Player.MAX, Player.MIN
 
 
-def _gate(number: int, label: str, budget: float | None, body) -> None:
+def _gate(number: int, label: str, budget: float, body) -> None:
     start = time.perf_counter()
     try:
         body()
@@ -42,7 +42,7 @@ def _gate(number: int, label: str, budget: float | None, body) -> None:
         print(f"ACCEPTANCE {number:2d}: FAIL  {label}")
         raise
     elapsed = time.perf_counter() - start
-    if budget is not None and elapsed >= budget:
+    if elapsed >= budget:
         print(f"ACCEPTANCE {number:2d}: FAIL  {label} [{elapsed:.1f}s over {budget:.0f}s budget]")
         raise AssertionError(f"{label}: {elapsed:.1f}s exceeds the {budget:.0f}s budget")
     print(f"ACCEPTANCE {number:2d}: PASS  {label} [{elapsed:.1f}s]")
@@ -93,7 +93,7 @@ def test_acceptance_04_oracle_equivalence():
                     naive = solve_naive(g, player)
                     assert subset == iso == naive, (n, player)
 
-    _gate(4, "subset, iso and naive solvers agree on every class n <= 7", None, body)
+    _gate(4, "subset, iso and naive solvers agree on every class n <= 7", 15.0, body)
 
 
 def test_acceptance_05_realizable_pairs():
@@ -117,7 +117,7 @@ def test_acceptance_06_deletion_drop_sharpness():
         assert solve(two, MIN).value == 5
         assert solve(induced_delete(two, {0}), MIN).value == 3
 
-    _gate(6, "isolated-edge deletion drops each value by exactly 2", None, body)
+    _gate(6, "isolated-edge deletion drops each value by exactly 2", 1.0, body)
 
 
 def test_acceptance_07_forced_perfect_matchings():
@@ -199,7 +199,7 @@ def test_acceptance_12_strategy_simulations():
             t = play(comb(k), MAX, make_strategy("exact"), make_strategy("min_comb"))
             assert t.final_size <= 3 * k, f"min_comb comb({k}): {t.final_size}"
 
-    _gate(12, "guarantee strategies meet their bounds in live play", None, body)
+    _gate(12, "guarantee strategies meet their bounds in live play", 6.0, body)
 
 
 def test_acceptance_13_gk_strategy_bound():

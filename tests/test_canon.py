@@ -4,6 +4,8 @@ from itertools import permutations
 import pytest
 
 from matchgame.canon import (
+    _canonical_forest,
+    _canonical_ir,
     are_isomorphic,
     automorphism_generators,
     canonical_certificate,
@@ -11,7 +13,7 @@ from matchgame.canon import (
 )
 from matchgame.corpus import exhaustive_classes
 from matchgame.families import complete, cycle, disjoint_union, path, star
-from matchgame.graph import from_edges
+from matchgame.graph import Graph, from_edges, is_forest
 from oracles import brute_isomorphic, permuted, random_graph
 
 
@@ -167,3 +169,18 @@ def test_automorphism_generators_generate_the_whole_group_n_le_6(classes_le6):
     for g in classes_le6:
         brute = {p for p in permutations(range(g.n)) if _is_automorphism(g, p)}
         assert _generated_group(g.n, automorphism_generators(g)) == brute
+
+
+def _random_forest(rng, n):
+    return from_edges(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.8])
+
+
+def test_canonical_representatives_pass_validation():
+    # both routes build their representative without re-validating it
+    rng = random.Random(29)
+    for i in range(200):
+        n = rng.randint(1, 12)
+        g = _random_forest(rng, n) if i % 2 else random_graph(rng, n, 0.4)
+        outputs = [_canonical_ir(g)] + ([_canonical_forest(g)] if is_forest(g) else [])
+        for h in outputs:
+            assert h.n == g.n and Graph(h.n, h.adj) == h

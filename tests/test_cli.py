@@ -237,3 +237,32 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["solve", "--mode", "warp"])
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("solve", "--gen", "cycle:5", "--budget", "-3"), "--budget"),
+        (("solve", "--gen", "cycle:5", "--budget", "0"), "--budget"),
+        (("table", "--gen", "path", "--range", "2..3", "--budget", "0"), "--budget"),
+        (("play", "--gen", "cycle:5", "--budget", "-1"), "--budget"),
+        (("verify", "--check", "diff_le_one", "--corpus", "exhaustive:3", "--budget", "0"), "--budget"),
+        (("verify", "--check", "diff_le_one", "--corpus", "exhaustive:3", "--jobs", "0"), "--jobs"),
+        (("verify", "--check", "diff_le_one", "--corpus", "exhaustive:3", "--jobs", "-2"), "--jobs"),
+    ],
+)
+def test_non_positive_budget_and_jobs_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1" in err
+
+
+def test_budget_and_jobs_of_one_are_accepted(capsys):
+    rc, out, _ = run(capsys, "solve", "--gen", "path:2", "--budget", "1")
+    assert rc == 0 and "value=1" in out
+    rc, out, _ = run(
+        capsys, "verify", "--check", "trivial_bounds", "--corpus", "exhaustive:3", "--jobs", "1",
+    )
+    assert rc == 0 and "pass (4 classes)" in out

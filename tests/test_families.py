@@ -27,7 +27,8 @@ from matchgame.families import (
     twin_cliques,
 )
 from matchgame.graph import is_connected, is_forest
-from matchgame.matching import maximum_matching
+from matchgame.matching import matching_number, maximum_matching
+from matchgame.solver import game_values
 from oracles import brute_isomorphic
 
 
@@ -115,6 +116,16 @@ def test_G_k():
         assert is_connected(g)
     with pytest.raises(Exception):
         G_k(2)  # 70 vertices, past the 62-vertex representation ceiling
+
+
+@pytest.mark.slow
+def test_G_1_exact_values_beat_seven_eighteenths():
+    # the paper's 7n/18 construction, solved exactly rather than sampled
+    g = G_k(1)
+    assert g.n == 34 and matching_number(g) == 15
+    mx, mn = game_values(g, mode="iso")
+    assert (mx, mn) == (13, 13)
+    assert 18 * mx < 7 * g.n
 
 
 def test_gk_block_copies():

@@ -183,3 +183,13 @@ def test_residual_removes_exactly_endpoint_edges(seed, n):
         if u not in e and v not in e
     ]
     assert sorted(kept) == list(r.edges())
+
+
+def test_subgraph_mask_output_passes_validation():
+    # subgraph_mask builds its result without re-validating it
+    rng = random.Random(23)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 14), rng.choice((0.2, 0.5, 0.8)))
+        for _ in range(3):
+            h = subgraph_mask(g, rng.getrandbits(g.n) if g.n else 0)
+            assert Graph(h.n, h.adj) == h

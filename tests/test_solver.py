@@ -4,7 +4,8 @@ import random
 import pytest
 
 from matchgame.families import comb, complete, cycle, disjoint_union, path, star
-from matchgame.graph import GraphError, from_edges, residual, subgraph_mask
+from matchgame import solver
+from matchgame.graph import GraphError, from_edges, is_connected, residual, subgraph_mask
 from matchgame.solver import (
     GameState,
     MemoBudgetError,
@@ -12,6 +13,7 @@ from matchgame.solver import (
     SolveResult,
     StrategyForfeit,
     Transcript,
+    _iso_root,
     _moves,
     game_values,
     play,
@@ -98,10 +100,40 @@ def _disconnected_cases():
     return cases
 
 
-def test_iso_keying_matches_subset_on_disconnected_graphs():
-    for g in _disconnected_cases():
+def _connected_cases():
+    rng = random.Random(43)
+    cases = [cycle(n) for n in range(5, 13)]
+    for n in (8, 9, 10):
+        drawn = 0
+        while drawn < 4:
+            g = random_graph(rng, n, 0.35)
+            if is_connected(g):
+                cases.append(g)
+                drawn += 1
+    return cases
+
+
+def test_iso_keying_matches_subset():
+    for g in _disconnected_cases() + _connected_cases():
         for player in (MAX, MIN):
             assert solve(g, player, mode="iso") == solve(g, player)
+
+
+def test_iso_root_is_canonicalised_once_per_graph(monkeypatch):
+    real = solver.canonical_certificate
+    for g in (comb(2), _union(path(4), cycle(5), path(4))):
+        _iso_root.cache_clear()
+        _moves.cache_clear()
+        calls = []
+        monkeypatch.setattr(solver, "canonical_certificate", lambda h: calls.append(h) or real(h))
+        want = solve(g, MIN, mode="iso")
+        if is_connected(g):
+            # a connected root's own certificate is never needed
+            assert calls and all(h.n < g.n for h in calls)
+        calls.clear()
+        solve(g, MAX, mode="iso")
+        assert solve(g, MIN, mode="iso") == want
+        assert calls == []
 
 
 def test_iso_value_invariant_under_relabelling():
@@ -116,12 +148,13 @@ def test_iso_value_invariant_under_relabelling():
 
 
 def test_iso_move_table_is_bounded_and_clearable():
-    solve(path(8), MAX, mode="iso")
-    info = _moves.cache_info()
-    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
-    _moves.cache_clear()
-    assert _moves.cache_info().currsize == 0
-    assert solve(path(8), MAX, mode="iso").value == 3
+    for table in (_moves, _iso_root):
+        solve(path(8), MAX, mode="iso")
+        info = table.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+        table.cache_clear()
+        assert table.cache_info().currsize == 0
+        assert solve(path(8), MAX, mode="iso").value == 3
 
 
 def test_iso_path_table_beyond_gate_two():
