@@ -23,6 +23,7 @@ from .solver import (
     Player,
     StrategyForfeit,
     Transcript,
+    game_values,
     play,
     solve,
 )
@@ -118,13 +119,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_table(args) -> int:
-    name = args.gen
+    params = parse_range(args.range)
     print(f"{'n':>4} {'alpha':>6} {'mu':>4} {'Max':>4} {'Min':>4}")
-    for p in parse_range(args.range):
-        item = family_items(name, str(p))[0]
-        g = item.graph
-        mx = solve(g, Player.MAX, mode=args.mode, budget=args.budget).value
-        mn = solve(g, Player.MIN, mode=args.mode, budget=args.budget).value
+    for p in params:
+        g = family_items(args.gen, str(p))[0].graph
+        mx, mn = game_values(g, mode=args.mode, budget=args.budget)
         print(
             f"{g.n:>4} {matching_number(g):>6} {min_maximal_number(g):>4} "
             f"{mx:>4} {mn:>4}"
@@ -248,7 +247,8 @@ def _positive_int(text: str) -> int:
 
 def _add_solver_args(p: argparse.ArgumentParser, default_mode: str = "subset") -> None:
     p.add_argument("--mode", choices=["subset", "iso"], default=default_mode)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="memo entry cap")
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                   help="cap on the entries of one graph's exact table, both players together")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -307,14 +307,21 @@ def _named_corpus(name: str) -> list[CorpusItem]:
 # -- spec parsing -------------------------------------------------------------
 
 
+def _integer(text: str, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise GraphError(f"{field} {text!r} is not an integer") from None
+
+
 def parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
+        lo_i, hi_i = _integer(lo, "range bound"), _integer(hi, "range bound")
         if hi_i < lo_i:
             raise GraphError(f"empty range {text!r}")
         return list(range(lo_i, hi_i + 1))
-    return [int(text)]
+    return [_integer(text, "parameter")]
 
 
 def family_items(name: str, param_text: str) -> list[CorpusItem]:
@@ -370,8 +377,9 @@ def corpus_from_spec(spec: str, default_seed: int = 0) -> list[CorpusItem]:
         fields = rest.split(":")
         if len(fields) not in (2, 3):
             raise GraphError("random_forest spec is COUNT:MAXN[:SEED]")
-        count, max_n = int(fields[0]), int(fields[1])
-        seed = int(fields[2]) if len(fields) == 3 else default_seed
+        count = _integer(fields[0], "random_forest COUNT")
+        max_n = _integer(fields[1], "random_forest MAXN")
+        seed = _integer(fields[2], "random_forest SEED") if len(fields) == 3 else default_seed
         return [
             CorpusItem(g, graph6.emit(g))
             for g in random_forests(count, max_n, seed)

@@ -4,18 +4,18 @@ Two players alternately add an edge disjoint from everything played so
 far; the game ends when the played edges form a maximal matching.  Max
 wants many edges, Min wants few.  The value of a position depends only
 on the residual graph (both endpoints of every played edge deleted)
-and the player to move, which is what both memoisation modes exploit:
+and the player to move.  ``_table(g, ...)`` values every position of g,
+a mask of its vertices, for either player: ``solve`` reads it for both
+starts and the ``exact`` strategy for both seats.  It has two modes:
 
-* subset mode: positions are vertex subsets of the fixed root graph;
-  the player to move is implied by parity, so masks alone are keys,
-* iso mode: positions are sorted tuples of the canonical certificates
-  of the residual's components that have an edge, so isomorphic
-  residuals share one entry and the key carries the player explicitly.
-  A move changes only the component it lands in; what it leaves of a
-  component class is looked up in ``_moves``, shared by every solve.
-  The labelled root is canonicalised once per graph, not once per
-  player: ``_iso_root`` keeps each root edge with the key it leaves,
-  and the other player's solve of an equal graph reads it back.
+* subset mode: one memo per player to move, keyed by the mask,
+* iso mode: one memo keyed by the player and the sorted certificates of
+  the residual's components that have an edge, so isomorphic residuals
+  share one entry.  A move changes only the component it lands in; what
+  it leaves of a component class is looked up in ``_moves``, shared by
+  every table.  The table caches certificates by component mask, so an
+  untouched component of a disconnected root is canonicalised once and
+  a connected root's own certificate is never needed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
 from . import graph6
 from .canon import canonical_certificate
@@ -92,12 +93,6 @@ class Transcript:
         return len(self.moves)
 
 
-def _mask_edges(adj: tuple[int, ...], mask: int):
-    for u in bits(mask):
-        for v in bits(adj[u] & ((mask >> (u + 1)) << (u + 1))):
-            yield u, v
-
-
 def solve(
     g: Graph,
     first: Player,
@@ -109,17 +104,9 @@ def solve(
     The root is always evaluated child by child so optimal_moves is the
     full argmax/argmin set, sorted.
     """
-    if mode == "subset":
-        child_value = _subset_child_fn(g, first, budget)
-        values = {
-            (u, v): 1 + child_value(g.vertex_mask & ~(1 << u | 1 << v))
-            for u, v in g.edges()
-        }
-    elif mode == "iso":
-        child_value = _iso_child_fn(budget)
-        values = {e: 1 + child_value(key, first.other) for e, key in _iso_root(g)}
-    else:
-        raise GraphError(f"unknown solve mode {mode!r}")
+    value = _table(g, mode, budget)
+    full, after = g.vertex_mask, first.other
+    values = {(u, v): 1 + value(full & ~(1 << u | 1 << v), after) for u, v in g.edges()}
     if not values:
         return SolveResult(0, ())
     opt = max(values.values()) if first is Player.MAX else min(values.values())
@@ -127,56 +114,77 @@ def solve(
     return SolveResult(opt, moves)
 
 
-def _subset_child_fn(g: Graph, first: Player, budget: int):
-    """Value of a position of g, given as the mask of the vertices left.
+@lru_cache(maxsize=1)
+def _table(g: Graph, mode: str, budget: int) -> Callable[[int, Player], int]:
+    """``value(mask, player)``: the value of g[mask] with player to move.
+
+    Every memo entry is exact, so the table answers any mask, for either
+    player, in any order; ``budget`` caps its entries, both players
+    together.  Callers solve both starts, or play, on the graph they have
+    just solved, so one cached table serves them and keeps a sweep's
+    memory flat.
+    """
+    if mode == "subset":
+        return _subset_table(g, budget)
+    if mode == "iso":
+        return _iso_table(g, budget)
+    raise GraphError(f"unknown solve mode {mode!r}")
+
+
+def _subset_table(g: Graph, budget: int) -> Callable[[int, Player], int]:
+    """Memos keyed by mask, one per player to move.
 
     A move is the edge mask ``1 << u | 1 << v`` of the root, legal where
     both bits are set.  The memo is probed before each recursive call,
     and a loop stops at a value no move can beat: ``popcount(mask) // 2``
-    for the maximiser, 1 for the minimiser.  Every memo entry is exact,
-    so the returned function can be asked any mask of g, in any order.
+    for the maximiser, 1 for the minimiser.
     """
-    n = g.n
     moves = [1 << u | 1 << v for u, v in g.edges()]
-    memo: dict[int, int] = {}
-    probe = memo.get
-    # the maximiser moves where (n - popcount(mask)) % 4 is this
-    max_phase = 0 if first is Player.MAX else 2
+    max_memo: dict[int, int] = {}
+    min_memo: dict[int, int] = {}
+    max_probe, min_probe = max_memo.get, min_memo.get
 
-    def search(mask: int) -> int:
-        k = popcount(mask)
-        if (n - k) % 4 == max_phase:
-            best, cap = 0, k // 2
-            for e in moves:
-                if mask & e == e:
-                    val = probe(mask ^ e)
-                    if val is None:
-                        val = search(mask ^ e)
-                    if val >= best:
-                        best = val + 1
-                        if best == cap:
-                            break
-        else:
-            best = k  # above any value: k >= 1 vertices hold <= k // 2 edges
-            for e in moves:
-                if mask & e == e:
-                    val = probe(mask ^ e)
-                    if val is None:
-                        val = search(mask ^ e)
-                    if val + 1 < best:
-                        best = val + 1
-                        if best == 1:
-                            break
-            if best == k:
-                best = 0
-        if len(memo) >= budget:
+    def search_max(mask: int) -> int:
+        best, cap = 0, popcount(mask) // 2
+        for e in moves:
+            if mask & e == e:
+                val = min_probe(mask ^ e)
+                if val is None:
+                    val = search_min(mask ^ e)
+                if val >= best:
+                    best = val + 1
+                    if best == cap:
+                        break
+        if len(max_memo) + len(min_memo) >= budget:
             raise MemoBudgetError(f"memo table exceeded {budget} entries")
-        memo[mask] = best
+        max_memo[mask] = best
         return best
 
-    def value(mask: int) -> int:
-        hit = probe(mask)
-        return search(mask) if hit is None else hit
+    def search_min(mask: int) -> int:
+        k = popcount(mask)
+        best = k  # above any value: k >= 1 vertices hold <= k // 2 edges
+        for e in moves:
+            if mask & e == e:
+                val = max_probe(mask ^ e)
+                if val is None:
+                    val = search_max(mask ^ e)
+                if val + 1 < best:
+                    best = val + 1
+                    if best == 1:
+                        break
+        if best == k:
+            best = 0
+        if len(max_memo) + len(min_memo) >= budget:
+            raise MemoBudgetError(f"memo table exceeded {budget} entries")
+        min_memo[mask] = best
+        return best
+
+    def value(mask: int, player: Player) -> int:
+        if player is Player.MAX:
+            hit = max_probe(mask)
+            return search_max(mask) if hit is None else hit
+        hit = min_probe(mask)
+        return search_min(mask) if hit is None else hit
 
     return value
 
@@ -196,49 +204,35 @@ def _split(adj: tuple[int, ...], keep: int):
             yield comp
 
 
-def _pieces(g: Graph, keep: int) -> tuple[bytes, ...]:
-    """Sorted certificates of the components of g[keep] that have an edge."""
-    return tuple(sorted(
-        canonical_certificate(subgraph_mask(g, c)) for c in _split(g.adj, keep)
-    ))
+def _pieces(g: Graph, keep: int, certs: dict[int, bytes]) -> tuple[bytes, ...]:
+    """Sorted certificates of the components of g[keep] that have an edge.
+
+    ``certs`` caches them by component mask.
+    """
+    out = []
+    for comp in _split(g.adj, keep):
+        if comp not in certs:
+            certs[comp] = canonical_certificate(subgraph_mask(g, comp))
+        out.append(certs[comp])
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=1 << 16)
 def _moves(cert: bytes) -> tuple[tuple[bytes, ...], ...]:
     """The distinct piece tuples a move leaves of one component class."""
     g = graph6.parse(cert.decode("ascii"))
+    certs: dict[int, bytes] = {}
     return tuple(sorted(
-        {_pieces(g, g.vertex_mask & ~(1 << u | 1 << v)) for u, v in g.edges()}
+        {_pieces(g, g.vertex_mask & ~(1 << u | 1 << v), certs) for u, v in g.edges()}
     ))
 
 
-@lru_cache(maxsize=1 << 10)
-def _iso_root(g: Graph) -> tuple[tuple[Edge, tuple[bytes, ...]], ...]:
-    """Each edge of the labelled root g, with the iso key it leaves.
-
-    Callers that want both values (``game_values``, ``table``, ``verify``,
-    ``solve --cache``) solve the second player right after the first, so
-    a small bound keeps those hits and keeps a long sweep's memory flat.
-    """
-    comps = list(_split(g.adj, g.vertex_mask))
-    # a root edge changes only its own component; the others are the
-    # rest of the key, and a connected root has no others
-    certs = (
-        [canonical_certificate(subgraph_mask(g, c)) for c in comps]
-        if len(comps) > 1 else []
-    )
-    out = []
-    for i, comp in enumerate(comps):
-        rest = tuple(certs[:i] + certs[i + 1:])
-        for u, v in _mask_edges(g.adj, comp):
-            out.append(((u, v), tuple(sorted(rest + _pieces(g, comp & ~(1 << u | 1 << v))))))
-    return tuple(out)
-
-
-def _iso_child_fn(budget: int):
+def _iso_table(g: Graph, budget: int) -> Callable[[int, Player], int]:
+    """One memo keyed by the iso key of a position and the player to move."""
+    certs: dict[int, bytes] = {}
     memo: dict[tuple[tuple[bytes, ...], Player], int] = {}
 
-    def value(key: tuple[bytes, ...], player: Player) -> int:
+    def search(key: tuple[bytes, ...], player: Player) -> int:
         if not key:
             return 0
         hit = memo.get((key, player))
@@ -251,13 +245,16 @@ def _iso_child_fn(budget: int):
                 continue
             rest = key[:i] + key[i + 1:]
             for pieces in _moves(comp):
-                val = 1 + value(tuple(sorted(rest + pieces)), player.other)
+                val = 1 + search(tuple(sorted(rest + pieces)), player.other)
                 if best is None or (val > best if maximising else val < best):
                     best = val
         if len(memo) >= budget:
             raise MemoBudgetError(f"memo table exceeded {budget} entries")
         memo[(key, player)] = best
         return best
+
+    def value(mask: int, player: Player) -> int:
+        return search(_pieces(g, mask, certs), player)
 
     return value
 

@@ -12,7 +12,6 @@ deterministic (the seeded random strategy included).
 from __future__ import annotations
 
 import random
-from typing import Callable
 
 from .families import G_k, gk_block_copies
 from .graph import (
@@ -32,7 +31,7 @@ from .matching import (
     matching_number,
     min_maximal_matching,
 )
-from .solver import DEFAULT_BUDGET, GameState, Player, _subset_child_fn, solve
+from .solver import DEFAULT_BUDGET, GameState, Player, _table
 
 
 class Strategy:
@@ -52,9 +51,9 @@ def _first_edge(g: Graph) -> Edge:
 class ExactStrategy(Strategy):
     """Plays the least optimal move of the residual game.
 
-    In subset mode one exact table per starting player serves the whole
-    game: every position is a mask of the root, filled in on demand.
-    Iso mode solves the residual game afresh each turn.
+    The exact table of the root serves the whole game and both seats,
+    in either mode: every position is a mask of the root, valued on
+    demand, and ``solve`` on the same root reads the same table.
     """
 
     name = "exact"
@@ -64,24 +63,17 @@ class ExactStrategy(Strategy):
 
     def reset(self, root: Graph) -> None:
         super().reset(root)
-        self.tables: dict[Player, Callable[[int], int]] = {}
+        self.value = _table(root, self.mode, DEFAULT_BUDGET)
 
     def choose(self, state: GameState) -> Edge:
-        if self.mode != "subset":
-            return solve(state.residual, state.to_move, mode=self.mode).optimal_moves[0]
-        # the table of the player who moved first at the root
-        played = (self.root.n - state.residual.n) // 2
-        first = state.to_move if played % 2 == 0 else state.to_move.other
-        if first not in self.tables:
-            self.tables[first] = _subset_child_fn(self.root, first, DEFAULT_BUDGET)
-        value = self.tables[first]
         origin = state.origin
         mask = sum(1 << r for r in origin)
         pick = max if state.to_move is Player.MAX else min
+        after = state.to_move.other
         # max and min return the first best edge, and edges() is sorted
         return pick(
             state.residual.edges(),
-            key=lambda e: value(mask & ~(1 << origin[e[0]] | 1 << origin[e[1]])),
+            key=lambda e: self.value(mask & ~(1 << origin[e[0]] | 1 << origin[e[1]]), after),
         )
 
 

@@ -122,6 +122,20 @@ def test_verify_cubic_spec_without_even_order_fails(capsys):
     assert "connected cubic corpus needs even 4 <= n <= 14" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("gen", "--gen", "path:abc"), "parameter 'abc' is not an integer"),
+    (("verify", "--check", "diff_le_one", "--corpus", "exhaustive:x"),
+     "parameter 'x' is not an integer"),
+    (("table", "--gen", "path", "--range", "4..y"), "range bound 'y' is not an integer"),
+    (("verify", "--check", "diff_le_one", "--corpus", "random_forest:a:3"),
+     "random_forest COUNT 'a' is not an integer"),
+])
+def test_malformed_integer_in_a_spec_is_an_error(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_unknown_check(capsys):
     rc, _, err = run(capsys, "verify", "--check", "nope", "--corpus", "exhaustive:3")
     assert rc == 2 and "available" in err

@@ -13,8 +13,8 @@ from matchgame.solver import (
     SolveResult,
     StrategyForfeit,
     Transcript,
-    _iso_root,
     _moves,
+    _table,
     game_values,
     play,
     solve,
@@ -122,7 +122,7 @@ def test_iso_keying_matches_subset():
 def test_iso_root_is_canonicalised_once_per_graph(monkeypatch):
     real = solver.canonical_certificate
     for g in (comb(2), _union(path(4), cycle(5), path(4))):
-        _iso_root.cache_clear()
+        _table.cache_clear()
         _moves.cache_clear()
         calls = []
         monkeypatch.setattr(solver, "canonical_certificate", lambda h: calls.append(h) or real(h))
@@ -148,7 +148,7 @@ def test_iso_value_invariant_under_relabelling():
 
 
 def test_iso_move_table_is_bounded_and_clearable():
-    for table in (_moves, _iso_root):
+    for table in (_moves, _table):
         solve(path(8), MAX, mode="iso")
         info = table.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
@@ -191,6 +191,18 @@ def test_memo_budget():
         == solve(cycle(12), MAX, mode="iso").value
         == 5
     )
+    # the budget caps one graph's table, both players together; fits is
+    # the least budget of a Max solve of C12 from a cold table
+    for mode, fits in (("subset", 318), ("iso", 18)):
+        _table.cache_clear()
+        with pytest.raises(MemoBudgetError):
+            solve(cycle(12), MAX, mode=mode, budget=fits - 1)
+        _table.cache_clear()
+        assert solve(cycle(12), MAX, mode=mode, budget=fits).value == 5
+        with pytest.raises(MemoBudgetError):
+            solve(cycle(12), MIN, mode=mode, budget=fits)
+        _table.cache_clear()
+        assert solve(cycle(12), MIN, mode=mode, budget=fits).value == 5
 
 
 def test_gamestate_coordinate_maps():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,6 +9,7 @@ from matchgame.families import (
     comb,
     complete,
     cycle,
+    disjoint_union,
     gk_block_copies,
     path,
     paw,
@@ -15,7 +17,7 @@ from matchgame.families import (
 )
 from matchgame.graph import GraphError, from_edges, is_forest
 from matchgame.matching import is_maximal, matching_number, min_maximal_number
-from matchgame.solver import GameState, Player, play, solve
+from matchgame.solver import GameState, Player, _table, game_values, play, solve
 from matchgame.strategies import STRATEGIES, MinCombStrategy, Strategy, make_strategy
 from oracles import all_matchings, random_graph
 
@@ -227,8 +229,11 @@ class _PerTurnExact(Strategy):
 
     name = "per_turn_exact"
 
+    def __init__(self, mode="subset"):
+        self.mode = mode
+
     def choose(self, state):
-        return solve(state.residual, state.to_move).optimal_moves[0]
+        return solve(state.residual, state.to_move, mode=self.mode).optimal_moves[0]
 
 
 def _seeded_graphs(seed, count, sizes=(2, 10)):
@@ -238,17 +243,28 @@ def _seeded_graphs(seed, count, sizes=(2, 10)):
 
 
 def test_exact_table_plays_the_per_turn_moves():
-    ref = _PerTurnExact()
-    for i, g in enumerate(_seeded_graphs(41, 30) + [path(9), cycle(10)]):
+    for mode, (i, g) in itertools.product(
+        ("subset", "iso"), enumerate(_seeded_graphs(41, 30) + [path(9), cycle(10)])
+    ):
+        ref = _PerTurnExact(mode)
         for first in (MAX, MIN):
-            exact = make_strategy("exact")
+            exact = make_strategy("exact", mode=mode)
             want = play(g, first, ref, ref).moves
             assert play(g, first, exact, exact).moves == want
             rand = make_strategy("random", seed=i)
             want = play(g, first, ref, rand).moves
-            assert play(g, first, make_strategy("exact"), rand).moves == want
+            assert play(g, first, make_strategy("exact", mode=mode), rand).moves == want
             want = play(g, first, rand, ref).moves
-            assert play(g, first, rand, make_strategy("exact")).moves == want
+            assert play(g, first, rand, make_strategy("exact", mode=mode)).moves == want
+
+
+@pytest.mark.parametrize("mode", ["subset", "iso"])
+def test_values_and_exact_play_share_one_table(mode):
+    for g in (cycle(9), path(4), disjoint_union(path(5), cycle(5))):
+        _table.cache_clear()
+        game_values(g, mode)
+        play(g, MAX, make_strategy("exact", mode=mode), make_strategy("exact", mode=mode))
+        assert _table.cache_info().misses == 1
 
 
 def test_exact_table_is_not_carried_to_the_next_root():
