@@ -141,7 +141,7 @@ def cmd_verify(args) -> int:
         known = ", ".join(sorted(CHECKS))
         print(f"error: unknown check {args.check!r}; available: {known}", file=sys.stderr)
         return 2
-    corpus = corpus_from_spec(args.corpus, default_seed=args.seed)
+    corpus = corpus_from_spec(args.corpus)
     report = run_check(
         args.check, corpus, mode=args.mode, budget=args.budget, jobs=args.jobs
     )
@@ -245,8 +245,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_solver_args(p: argparse.ArgumentParser, default_mode: str = "subset") -> None:
-    p.add_argument("--mode", choices=["subset", "iso"], default=default_mode)
+def _add_solver_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=["subset", "iso"], default="subset")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                    help="cap on the entries of one graph's exact table, both players together")
 
@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a registered check over a corpus")
     p.add_argument("--check", required=True)
     p.add_argument("--corpus", required=True, help="corpus spec, e.g. exhaustive:5")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--records", help="write line-delimited records to this path")
     _add_solver_args(p)

@@ -13,7 +13,8 @@ Sources:
 * ``family:NAME:P,...`` constructor families, each parameter an int or
                         an inclusive range LO..HI,
 * ``random_forest:COUNT:MAXN[:SEED]`` seeded uniform labelled trees
-                        (sequence decoding) with random edge deletions,
+                        (sequence decoding) with random edge deletions;
+                        SEED is 0 when omitted,
 * ``file:PATH``         graph6 lines,
 * ``g6:STRING``         one literal graph6 graph,
 * ``named:ID``          small fixed lists (krr_products, paw_p3).
@@ -347,7 +348,7 @@ def family_items(name: str, param_text: str) -> list[CorpusItem]:
     return out
 
 
-def corpus_from_spec(spec: str, default_seed: int = 0) -> list[CorpusItem]:
+def corpus_from_spec(spec: str) -> list[CorpusItem]:
     kind, _, rest = spec.partition(":")
     if kind == "exhaustive":
         return [
@@ -379,7 +380,7 @@ def corpus_from_spec(spec: str, default_seed: int = 0) -> list[CorpusItem]:
             raise GraphError("random_forest spec is COUNT:MAXN[:SEED]")
         count = _integer(fields[0], "random_forest COUNT")
         max_n = _integer(fields[1], "random_forest MAXN")
-        seed = _integer(fields[2], "random_forest SEED") if len(fields) == 3 else default_seed
+        seed = _integer(fields[2], "random_forest SEED") if len(fields) == 3 else 0
         return [
             CorpusItem(g, graph6.emit(g))
             for g in random_forests(count, max_n, seed)

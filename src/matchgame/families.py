@@ -144,12 +144,6 @@ def cubic_tree(k: int) -> Graph:
     return from_edges(nxt, edges)
 
 
-def _gk_leaf_blocks(k: int) -> tuple[Graph, list[int]]:
-    tree = cubic_tree(k + 1)
-    leaves = [v for v in range(tree.n) if tree.degree(v) == 1]
-    return tree, leaves
-
-
 def G_k(k: int) -> Graph:
     """Cubic connected graph: T_{k+1} with a gadget_K copy glued on each leaf.
 
@@ -159,14 +153,10 @@ def G_k(k: int) -> Graph:
     """
     if k < 0:
         raise GraphError("G_k needs k >= 0")
-    tree, leaves = _gk_leaf_blocks(k)
-    edges = list(tree.edges())
-    nxt = tree.n
-    for leaf in leaves:
-        w, x, y, z = nxt, nxt + 1, nxt + 2, nxt + 3
-        edges += [(w, x), (w, y), (w, z), (x, y), (x, z), (y, leaf), (z, leaf)]
-        nxt += 4
-    return from_edges(nxt, edges)
+    tree = cubic_tree(k + 1)
+    blocks = gk_block_copies(k)
+    edges = set(tree.edges()).union(*(b.edges for b in blocks))
+    return from_edges(tree.n + 4 * len(blocks), edges)
 
 
 @dataclass(frozen=True)
@@ -184,7 +174,8 @@ class BlockCopy:
 
 def gk_block_copies(k: int) -> list[BlockCopy]:
     """The 3 * 2**k block copies of G_k(k), in leaf order."""
-    tree, leaves = _gk_leaf_blocks(k)
+    tree = cubic_tree(k + 1)
+    leaves = [v for v in range(tree.n) if tree.degree(v) == 1]
     out = []
     nxt = tree.n
     for leaf in leaves:

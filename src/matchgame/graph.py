@@ -4,7 +4,9 @@ Vertices are the integers 0..n-1 with n <= 62, so every neighbourhood,
 vertex subset and component fits in a single Python int used as a bit
 mask.  Graphs are immutable; all derived graphs (residuals, induced
 subgraphs) relabel the surviving vertices to 0..m-1 preserving their
-original relative order.
+original relative order.  Components need no derived graph:
+``component_masks(g, keep)`` returns those of g[keep] as masks of g's
+own vertices, and every other component question is answered from it.
 
 ``Graph(...)`` validates its input, and so do ``from_edges`` and
 ``graph6.parse``, the ways a graph enters from outside.  A graph the
@@ -91,9 +93,6 @@ class Graph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def isolated_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if not self.adj[v])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={list(self.edges())})"
 
@@ -164,37 +163,39 @@ def residual(g: Graph, e: Edge) -> Graph:
     return subgraph_mask(g, g.vertex_mask & ~(1 << u | 1 << v))
 
 
-def components(g: Graph) -> list[tuple[int, ...]]:
-    """Connected components as sorted vertex tuples, ordered by least vertex."""
-    seen = 0
+def component_masks(g: Graph, keep: int | None = None) -> list[int]:
+    """Connected components of g[keep] as vertex masks, ordered by least vertex.
+
+    ``keep`` defaults to every vertex of g.
+    """
+    adj = g.adj
+    keep = g.vertex_mask if keep is None else keep
     out = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
+    while keep:
+        comp = frontier = keep & -keep
         while frontier:
-            nxt = 0
+            reach = 0
             for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        out.append(tuple(bits(comp)))
+                reach |= adj[v]
+            frontier = reach & keep & ~comp
+            comp |= frontier
+        keep &= ~comp
+        out.append(comp)
     return out
 
 
-def component_masks(g: Graph) -> list[int]:
-    return [sum(1 << v for v in comp) for comp in components(g)]
+def components(g: Graph) -> list[tuple[int, ...]]:
+    """Connected components as sorted vertex tuples, ordered by least vertex."""
+    return [tuple(bits(comp)) for comp in component_masks(g)]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
+    return len(component_masks(g)) <= 1
 
 
 def is_forest(g: Graph) -> bool:
     """Acyclic check: every component has |edges| = |vertices| - 1."""
-    return g.edge_count == g.n - len(components(g))
+    return g.edge_count == g.n - len(component_masks(g))
 
 
 def is_star(g: Graph, comp: Iterable[int]) -> bool:
@@ -282,11 +283,11 @@ def longest_path_in_forest(g: Graph) -> tuple[int, ...]:
                 if a < b and (d > best_len or (d == best_len and (a, b) < best_pair)):
                     best_len = d
                     best_pair = (a, b)
+                    comp = comp_mask
     if best_len == 0:
         return (0,)
     a, b = best_pair
     # unique tree path from a to b, recovered by walking distances down
-    comp = next(m for m in component_masks(g) if m >> a & 1)
     dist_b = _bfs_dist(g, comp, b)
     path = [a]
     cur = a

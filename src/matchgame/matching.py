@@ -1,7 +1,10 @@
 """Exact matching computations.
 
 Maximum matchings come from the standard blossom-contraction
-augmenting-path search (polynomial, fine up to the 62-vertex cap).
+augmenting-path search (polynomial, fine up to the 62-vertex cap).  The
+search runs on a host graph and a vertex mask, so a question about a
+vertex subset (edge and vertex coverage, the witness search's pruning
+bound) is answered on g[keep] in g's own labels, with no copy.
 Minimum maximal matchings are NP-hard in general; here an exact
 memoised branch search over (free vertices, forced vertices) states
 handles desk-scale inputs.  All returned matchings are deterministic
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, GraphError, bits, popcount, subgraph_mask
+from .graph import Edge, Graph, GraphError, bits, popcount
 
 Matching = frozenset[Edge]
 
@@ -21,16 +24,6 @@ _INF = 1 << 30
 
 def covered_vertices(m: Matching) -> frozenset[int]:
     return frozenset(v for e in m for v in e)
-
-
-def validate_matching(g: Graph, m: Matching) -> None:
-    seen = 0
-    for u, v in m:
-        if not g.has_edge(u, v):
-            raise GraphError(f"({u}, {v}) is not an edge of the host graph")
-        if seen & (1 << u | 1 << v):
-            raise GraphError(f"({u}, {v}) shares a vertex with another edge")
-        seen |= 1 << u | 1 << v
 
 
 def is_maximal(g: Graph, m: Matching) -> bool:
@@ -44,8 +37,10 @@ def is_maximal(g: Graph, m: Matching) -> bool:
 # -- maximum matching ----------------------------------------------------
 
 
-def _blossom_match(n: int, adj: list[list[int]]) -> list[int]:
-    """Partner array of a maximum matching (or -1), blossom contraction."""
+def _blossom_match(g: Graph, keep: int) -> Matching:
+    """A maximum matching of g[keep] in g's labels, by blossom contraction."""
+    n = g.n
+    adj = [list(bits(m & keep)) for m in g.adj]
     match = [-1] * n
 
     def find_path(root: int) -> bool:
@@ -109,25 +104,19 @@ def _blossom_match(n: int, adj: list[list[int]]) -> list[int]:
                     queue.append(match[to])
         return False
 
-    for v in range(n):
+    for v in bits(keep):
         if match[v] == -1:
             find_path(v)
-    return match
+    return frozenset((v, match[v]) for v in range(n) if match[v] > v)
 
 
 def maximum_matching(g: Graph) -> Matching:
-    adj = [list(bits(m)) for m in g.adj]
-    match = _blossom_match(g.n, adj)
-    return frozenset((v, match[v]) for v in range(g.n) if match[v] > v)
+    return _blossom_match(g, g.vertex_mask)
 
 
 def matching_number(g: Graph) -> int:
     """alpha'(g), the maximum matching size."""
     return len(maximum_matching(g))
-
-
-def _matching_number_mask(g: Graph, mask: int) -> int:
-    return matching_number(subgraph_mask(g, mask))
 
 
 def edge_in_maximum_matching(g: Graph, e: Edge, alpha: int | None = None) -> bool:
@@ -137,8 +126,7 @@ def edge_in_maximum_matching(g: Graph, e: Edge, alpha: int | None = None) -> boo
         raise GraphError(f"({u}, {v}) is not an edge")
     if alpha is None:
         alpha = matching_number(g)
-    rest = g.vertex_mask & ~(1 << u | 1 << v)
-    return _matching_number_mask(g, rest) == alpha - 1
+    return len(_blossom_match(g, g.vertex_mask & ~(1 << u | 1 << v))) == alpha - 1
 
 
 def covering_max_matching(g: Graph, v: int) -> Matching:
@@ -153,16 +141,9 @@ def covering_max_matching(g: Graph, v: int) -> Matching:
         raise GraphError(f"vertex {v} is isolated")
     alpha = matching_number(g)
     for u in bits(g.adj[v]):
-        rest = g.vertex_mask & ~(1 << u | 1 << v)
-        sub = subgraph_mask(g, rest)
-        if matching_number(sub) == alpha - 1:
-            old = [w for w in bits(rest)]
-            lifted = {
-                (old[min(a, b)], old[max(a, b)])
-                for a, b in maximum_matching(sub)
-            }
-            lifted.add((min(u, v), max(u, v)))
-            return frozenset(lifted)
+        rest = _blossom_match(g, g.vertex_mask & ~(1 << u | 1 << v))
+        if len(rest) == alpha - 1:
+            return rest | {(min(u, v), max(u, v))}
     raise GraphError(f"no maximum matching covers vertex {v}")  # unreachable
 
 
@@ -290,7 +271,7 @@ def compatibility_witness(g: Graph, cap: int = 10**6) -> WitnessResult:
                 return WitnessResult("inconclusive")
             return None
         need = alpha - len(chosen)
-        if _matching_number_mask(g, g.vertex_mask & ~covered) < need:
+        if len(_blossom_match(g, g.vertex_mask & ~covered)) < need:
             return None
         for j in range(i, len(edges)):
             u, v = edges[j]

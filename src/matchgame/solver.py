@@ -27,7 +27,7 @@ from typing import Callable
 
 from . import graph6
 from .canon import canonical_certificate
-from .graph import Edge, Graph, GraphError, bits, popcount, subgraph_mask
+from .graph import Edge, Graph, GraphError, bits, component_masks, popcount, subgraph_mask
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -189,31 +189,17 @@ def _subset_table(g: Graph, budget: int) -> Callable[[int, Player], int]:
     return value
 
 
-def _split(adj: tuple[int, ...], keep: int):
-    """Masks of the connected components of keep that have an edge."""
-    while keep:
-        comp = frontier = keep & -keep
-        while frontier:
-            reach = 0
-            for v in bits(frontier):
-                reach |= adj[v]
-            frontier = reach & keep & ~comp
-            comp |= frontier
-        keep &= ~comp
-        if comp & (comp - 1):
-            yield comp
-
-
 def _pieces(g: Graph, keep: int, certs: dict[int, bytes]) -> tuple[bytes, ...]:
     """Sorted certificates of the components of g[keep] that have an edge.
 
     ``certs`` caches them by component mask.
     """
     out = []
-    for comp in _split(g.adj, keep):
-        if comp not in certs:
-            certs[comp] = canonical_certificate(subgraph_mask(g, comp))
-        out.append(certs[comp])
+    for comp in component_masks(g, keep):
+        if comp & (comp - 1):
+            if comp not in certs:
+                certs[comp] = canonical_certificate(subgraph_mask(g, comp))
+            out.append(certs[comp])
     return tuple(sorted(out))
 
 

@@ -37,6 +37,17 @@ def all_matchings(g: Graph):
     yield from rec(0, 0, ())
 
 
+def validate_matching(g: Graph, m: frozenset) -> None:
+    """Raise GraphError unless m is a set of pairwise disjoint edges of g."""
+    seen = 0
+    for u, v in m:
+        if not g.has_edge(u, v):
+            raise GraphError(f"({u}, {v}) is not an edge of the host graph")
+        if seen & (1 << u | 1 << v):
+            raise GraphError(f"({u}, {v}) shares a vertex with another edge")
+        seen |= 1 << u | 1 << v
+
+
 def brute_matching_number(g: Graph) -> int:
     return max(len(m) for m in all_matchings(g))
 
@@ -54,6 +65,27 @@ def brute_maximal_matchings(g: Graph):
 
 def brute_min_maximal_number(g: Graph) -> int:
     return min(len(m) for m in brute_maximal_matchings(g))
+
+
+def brute_component_masks(g: Graph, keep: int) -> list[int]:
+    """Components of g[keep] as vertex masks, ordered by least vertex.
+
+    Union-find over the edges with both ends in ``keep``.
+    """
+    parent = {v: v for v in range(g.n) if keep >> v & 1}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges():
+        if u in parent and v in parent:
+            parent[find(u)] = find(v)
+    comps: dict[int, int] = {}
+    for v in parent:
+        comps[find(v)] = comps.get(find(v), 0) | 1 << v
+    return sorted(comps.values(), key=lambda m: m & -m)
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:

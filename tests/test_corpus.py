@@ -177,8 +177,8 @@ def test_corpus_from_spec_kinds(tmp_path):
     rf = corpus_from_spec("random_forest:10:8:3")
     assert rf == corpus_from_spec("random_forest:10:8:3")
     assert len(rf) == 10
-    assert corpus_from_spec("random_forest:10:8", default_seed=3) == rf
-    assert corpus_from_spec("random_forest:10:8", default_seed=4) != rf
+    assert corpus_from_spec("random_forest:10:8:4") != rf
+    assert corpus_from_spec("random_forest:10:8") == corpus_from_spec("random_forest:10:8:0")
 
     for item in rf + named + loaded + one:
         assert isinstance(item, CorpusItem)

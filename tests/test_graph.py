@@ -8,6 +8,7 @@ from matchgame.families import comb, complete, cycle, path, star
 from matchgame.graph import (
     Graph,
     GraphError,
+    component_masks,
     components,
     delete_edge,
     from_edges,
@@ -21,7 +22,7 @@ from matchgame.graph import (
     split_partition,
     subgraph_mask,
 )
-from oracles import brute_longest_paths, random_graph
+from oracles import brute_component_masks, brute_longest_paths, random_graph
 
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -43,7 +44,6 @@ def test_basic_queries():
     assert list(g.edges()) == [(0, 1), (1, 2), (1, 3)]
     assert g.edge_count == 3
     assert g.has_edge(2, 1) and not g.has_edge(0, 3)
-    assert from_edges(3, [(0, 1)]).isolated_vertices() == (2,)
 
 
 def test_duplicate_edges_collapse():
@@ -85,12 +85,22 @@ def test_subgraph_mask_and_delete_edge():
         delete_edge(P4, (0, 2))
 
 
-def test_components():
+def test_components(classes_le6):
     g = from_edges(5, [(1, 2), (3, 4)])
     assert components(g) == [(0,), (1, 2), (3, 4)]
     assert components(cycle(6)) == [tuple(range(6))]
     assert is_connected(cycle(6)) and not is_connected(g)
     assert is_connected(Graph(0, ()))
+    assert component_masks(cycle(6), 0b110110) == [0b000110, 0b110000]
+    assert component_masks(g, 0) == []
+    rng = random.Random(29)
+    hosts = list(classes_le6) + [
+        random_graph(rng, rng.randint(0, 14), rng.choice((0.1, 0.25, 0.5))) for _ in range(200)
+    ]
+    for h in hosts:
+        assert component_masks(h) == brute_component_masks(h, h.vertex_mask)
+        for keep in [rng.getrandbits(h.n) if h.n else 0 for _ in range(4)]:
+            assert component_masks(h, keep) == brute_component_masks(h, keep)
 
 
 def test_star_and_forest_predicates():

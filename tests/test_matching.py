@@ -12,7 +12,7 @@ from matchgame.families import (
     split_extremal,
     star,
 )
-from matchgame.graph import GraphError, from_edges
+from matchgame.graph import GraphError, from_edges, residual
 from matchgame.matching import (
     compatibility_witness,
     covered_vertices,
@@ -23,13 +23,13 @@ from matchgame.matching import (
     maximum_matching,
     min_maximal_matching,
     min_maximal_number,
-    validate_matching,
 )
 from oracles import (
     brute_matching_number,
     brute_maximal_matchings,
     brute_min_maximal_number,
     random_graph,
+    validate_matching,
 )
 
 
@@ -107,6 +107,14 @@ def test_edge_in_maximum_matching():
     assert all(edge_in_maximum_matching(cycle(6), e) for e in cycle(6).edges())
     with pytest.raises(GraphError):
         edge_in_maximum_matching(g, (0, 3))
+    rng = random.Random(31)
+    for _ in range(60):
+        h = random_graph(rng, rng.randint(2, 9), rng.choice((0.25, 0.4, 0.6)))
+        alpha = brute_matching_number(h)
+        for e in h.edges():
+            rest = brute_matching_number(residual(h, e))
+            assert edge_in_maximum_matching(h, e) == (rest == alpha - 1)
+            assert edge_in_maximum_matching(h, e, alpha) == (rest == alpha - 1)
 
 
 def test_covering_max_matching():
@@ -119,6 +127,23 @@ def test_covering_max_matching():
         covering_max_matching(from_edges(2, []), 0)
     with pytest.raises(GraphError):
         covering_max_matching(g, 9)
+    rng = random.Random(37)
+    for _ in range(60):
+        h = random_graph(rng, rng.randint(2, 9), rng.choice((0.25, 0.4, 0.6)))
+        alpha = brute_matching_number(h)
+        for v in range(h.n):
+            if not h.adj[v]:
+                continue
+            m = covering_max_matching(h, v)
+            validate_matching(h, m)
+            assert len(m) == alpha
+            # the edge at v is the least one lying in a maximum matching
+            u = min(
+                w for w in range(h.n)
+                if h.has_edge(v, w)
+                and brute_matching_number(residual(h, (min(v, w), max(v, w)))) == alpha - 1
+            )
+            assert (min(u, v), max(u, v)) in m
 
 
 @settings(max_examples=80, deadline=None)

@@ -239,7 +239,8 @@ class _Illegal(Strategy):
 
 
 def _is_maximal_root_matching(g, moves) -> bool:
-    from matchgame.matching import is_maximal, validate_matching
+    from matchgame.matching import is_maximal
+    from oracles import validate_matching
 
     m = frozenset(moves)
     validate_matching(g, m)
