@@ -169,10 +169,7 @@ class InteractiveStrategy(Strategy):
     name = "interactive"
 
     def choose(self, state: GameState):
-        residual_edges = state.residual.edges()
-        legal = {tuple(sorted((state.origin[u], state.origin[v]))) for u, v in residual_edges}
-        back = {root: res for res, root in enumerate(state.origin)}
-        print(f"legal moves: {' '.join(sorted(_edge_str(e) for e in legal))}")
+        print(f"legal moves: {' '.join(sorted(_edge_str(e) for e in state.moves))}")
         while True:
             try:
                 line = input(f"{state.to_move} move (u v)> ")
@@ -181,8 +178,8 @@ class InteractiveStrategy(Strategy):
             fields = line.split()
             if len(fields) == 2 and all(f.lstrip("-").isdigit() for f in fields):
                 u, v = sorted((int(fields[0]), int(fields[1])))
-                if (u, v) in legal:
-                    return (back[u], back[v])
+                if (u, v) in state.moves:
+                    return (u, v)
             print(f"illegal move {line.strip()!r}; pick one of the legal moves")
 
 

@@ -10,8 +10,8 @@ own vertices, and every other component question is answered from it.
 
 ``Graph(...)`` validates its input, and so do ``from_edges`` and
 ``graph6.parse``, the ways a graph enters from outside.  A graph the
-package derives from a valid ``Graph`` (an induced subgraph, a
-canonical relabelling) is valid by construction, so it is built with
+package derives from a valid ``Graph`` (an induced subgraph, an edge
+deletion, a canonical relabelling) is valid by construction, so it is built with
 ``_derived``, which skips that check.
 """
 
@@ -152,7 +152,7 @@ def delete_edge(g: Graph, e: Edge) -> Graph:
     adj = list(g.adj)
     adj[u] &= ~(1 << v)
     adj[v] &= ~(1 << u)
-    return Graph(g.n, tuple(adj))
+    return _derived(g.n, tuple(adj))
 
 
 def residual(g: Graph, e: Edge) -> Graph:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from . import graph6
@@ -49,7 +49,7 @@ class MemoBudgetError(RuntimeError):
 
 
 class StrategyForfeit(RuntimeError):
-    """A strategy returned a move that is not a residual edge."""
+    """A strategy answered with something that is not a legal move."""
 
 
 @dataclass(frozen=True)
@@ -60,25 +60,33 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class GameState:
-    """What a strategy sees on its turn.
+    """What a strategy sees on its turn, all in root labels.
 
-    ``origin[i]`` is the root id of residual vertex i; ``history`` holds
-    all moves so far in root coordinates.
+    ``mask`` holds the root vertices that no played edge covers, and
+    ``history`` the moves so far.  A strategy answers with one of
+    ``moves``.  ``residual`` is ``root[mask]`` relabelled to 0..m-1, for
+    strategies that run a graph algorithm on the position; ``to_root``
+    maps its edges back.
     """
 
-    residual: Graph
+    root: Graph
+    mask: int
     to_move: Player
-    origin: tuple[int, ...]
     history: tuple[tuple[Edge, Player], ...] = ()
 
-    def to_root(self, e: Edge) -> Edge:
-        u, v = self.origin[e[0]], self.origin[e[1]]
-        return (min(u, v), max(u, v))
+    @cached_property
+    def moves(self) -> tuple[Edge, ...]:
+        """The root's edges with both ends in ``mask``, sorted."""
+        mask = self.mask
+        return tuple(e for e in self.root.edge_tuple if mask >> e[0] & mask >> e[1] & 1)
 
-    def to_residual(self, e: Edge) -> Edge:
-        pos = {r: i for i, r in enumerate(self.origin)}
-        u, v = pos[e[0]], pos[e[1]]
-        return (min(u, v), max(u, v))
+    @cached_property
+    def residual(self) -> Graph:
+        return subgraph_mask(self.root, self.mask)
+
+    def to_root(self, e: Edge) -> Edge:
+        origin = tuple(bits(self.mask))
+        return (origin[e[0]], origin[e[1]])
 
 
 @dataclass(frozen=True)
@@ -254,37 +262,34 @@ def game_values(g: Graph, mode: str = "subset", budget: int = DEFAULT_BUDGET) ->
 
 
 def play(g: Graph, first: Player, strat_first, strat_second) -> Transcript:
-    """Run one game; strategies are asked for residual-coordinate edges.
+    """Run one game; each strategy answers with one of ``state.moves``.
 
-    A strategy returning anything but an edge of the current residual
-    forfeits with StrategyForfeit.  The move list is kept in root
-    coordinates, so the played edges are pairwise disjoint and form a
-    maximal matching of the root graph when the loop ends.
+    An answer that is not a legal move, in either orientation, forfeits
+    with StrategyForfeit.  The played edges are the root's own edge
+    tuples, pairwise disjoint, and form a maximal matching of the root
+    graph when the loop ends.
     """
     seats = {first: strat_first, first.other: strat_second}
     for strat in {id(s): s for s in seats.values()}.values():
         strat.reset(g)
-    # moves are the root's own edge tuples, so transcripts of one graph
-    # share their edges instead of holding copies
-    root_edges = {e: e for e in g.edge_tuple}
     mask = g.vertex_mask
     history: list[tuple[Edge, Player]] = []
     player = first
     while True:
-        residual = subgraph_mask(g, mask)
-        if residual.edge_count == 0:
+        state = GameState(g, mask, player, tuple(history))
+        moves = state.moves
+        if not moves:
             break
-        origin = tuple(bits(mask))
-        state = GameState(residual, player, origin, tuple(history))
-        move = seats[player].choose(state)
-        u, v = move
-        if not (0 <= u < residual.n and 0 <= v < residual.n) or not residual.has_edge(u, v):
+        answer = seats[player].choose(state)
+        try:
+            u, v = answer
+            move = moves[moves.index((min(u, v), max(u, v)))]
+        except (TypeError, ValueError):
             raise StrategyForfeit(
-                f"{seats[player].name} returned {move!r}, not a residual edge"
-            )
-        root_edge = root_edges[state.to_root((min(u, v), max(u, v)))]
-        history.append((root_edge, player))
-        mask &= ~(1 << root_edge[0] | 1 << root_edge[1])
+                f"{seats[player].name} returned {answer!r}, not a legal edge"
+            ) from None
+        history.append((move, player))
+        mask &= ~(1 << move[0] | 1 << move[1])
         player = player.other
     return Transcript(
         root=g,

@@ -2,11 +2,13 @@
 
 A strategy is an object with a ``name``, a ``reset(root)`` hook that
 initialises any per-game memory from the root graph, and a
-``choose(state)`` that returns an edge of the current residual graph in
-residual coordinates.  Strategies that reason about the root graph
-translate through ``state.origin``; wherever a rule says "any" the
-lexicographically least eligible edge is played so every strategy is
-deterministic (the seeded random strategy included).
+``choose(state)`` that answers with one of ``state.moves``: an edge of
+the root whose ends no played edge covers, in root labels.  A strategy
+that runs a graph algorithm on the position runs it on
+``state.residual`` and maps its answer back with ``state.to_root``.
+Wherever a rule says "any" the lexicographically least eligible edge is
+played so every strategy is deterministic (the seeded random strategy
+included).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .graph import (
     is_forest,
     is_star,
     longest_path_in_forest,
+    popcount,
     split_partition,
 )
 from .matching import (
@@ -44,12 +47,8 @@ class Strategy:
         raise NotImplementedError
 
 
-def _first_edge(g: Graph) -> Edge:
-    return next(g.edges())
-
-
 class ExactStrategy(Strategy):
-    """Plays the least optimal move of the residual game.
+    """Plays the least optimal move of the position.
 
     The exact table of the root serves the whole game and both seats,
     in either mode: every position is a mask of the root, valued on
@@ -66,15 +65,11 @@ class ExactStrategy(Strategy):
         self.value = _table(root, self.mode, DEFAULT_BUDGET)
 
     def choose(self, state: GameState) -> Edge:
-        origin = state.origin
-        mask = sum(1 << r for r in origin)
+        mask = state.mask
         pick = max if state.to_move is Player.MAX else min
         after = state.to_move.other
-        # max and min return the first best edge, and edges() is sorted
-        return pick(
-            state.residual.edges(),
-            key=lambda e: self.value(mask & ~(1 << origin[e[0]] | 1 << origin[e[1]]), after),
-        )
+        # max and min return the first best edge, and moves is sorted
+        return pick(state.moves, key=lambda e: self.value(mask & ~(1 << e[0] | 1 << e[1]), after))
 
 
 class RandomStrategy(Strategy):
@@ -90,18 +85,18 @@ class RandomStrategy(Strategy):
         self.rng = random.Random(self.seed)
 
     def choose(self, state: GameState) -> Edge:
-        return self.rng.choice(list(state.residual.edges()))
+        return self.rng.choice(state.moves)
 
 
 class GreedyFirstStrategy(Strategy):
     name = "greedy_first"
 
     def choose(self, state: GameState) -> Edge:
-        return _first_edge(state.residual)
+        return state.moves[0]
 
 
 class MaxGreedyMatchingStrategy(Strategy):
-    """Least residual edge that lies in some maximum matching."""
+    """Least legal edge that lies in some maximum matching of the residual."""
 
     name = "max_greedy_matching"
 
@@ -110,7 +105,7 @@ class MaxGreedyMatchingStrategy(Strategy):
         alpha = matching_number(g)
         for e in g.edges():
             if edge_in_maximum_matching(g, e, alpha):
-                return e
+                return state.to_root(e)
         raise GraphError("no edge of any maximum matching found")  # unreachable
 
 
@@ -128,11 +123,10 @@ class MinSmallMaximalStrategy(Strategy):
         self.fixed = sorted(min_maximal_matching(root))
 
     def choose(self, state: GameState) -> Edge:
-        alive = set(state.origin)
         for e in self.fixed:
-            if e[0] in alive and e[1] in alive:
-                return state.to_residual(e)
-        return _first_edge(state.residual)
+            if e in state.moves:
+                return e
+        return state.moves[0]
 
 
 class MinSplitStrategy(Strategy):
@@ -148,11 +142,10 @@ class MinSplitStrategy(Strategy):
         self.clique = part[1]
 
     def choose(self, state: GameState) -> Edge:
-        for e in state.residual.edges():
-            a, b = state.to_root(e)
+        for a, b in state.moves:
             if a in self.clique and b in self.clique:
-                return e
-        return _first_edge(state.residual)
+                return (a, b)
+        return state.moves[0]
 
 
 class MaxForestStrategy(Strategy):
@@ -179,7 +172,7 @@ class MaxForestStrategy(Strategy):
                     eligible |= set(c)
             for u, v in g.edges():
                 if u in eligible:
-                    return (u, v)
+                    return state.to_root((u, v))
             raise GraphError("star components without edges")  # unreachable
         path = longest_path_in_forest(g)
         w, v = path[1], path[2]
@@ -188,7 +181,7 @@ class MaxForestStrategy(Strategy):
         at_v = sorted((min(v, u), max(v, u)) for u in bits(pruned.adj[v]))
         for e in at_v:
             if edge_in_maximum_matching(pruned, e, alpha):
-                return e
+                return state.to_root(e)
         raise GraphError("no maximum matching covers the path vertex")  # unreachable
 
 
@@ -264,14 +257,13 @@ class MinCombStrategy(Strategy):
             c for c in self.copies if all(x in alive for x in c)
         ]
         inside = {x for c in untouched for x in c}
-        for e in state.residual.edges():
-            a, b = state.to_root(e)
+        for a, b in state.moves:
             if a in inside and b in inside and self._copy_of(a) == self._copy_of(b):
-                return e
-        return _first_edge(state.residual)
+                return (a, b)
+        return state.moves[0]
 
     def choose(self, state: GameState) -> Edge:
-        alive = set(state.origin)
+        alive = set(bits(state.mask))
         if not state.history:
             return self._fallback(state, alive)
         last, _ = state.history[-1]
@@ -281,18 +273,16 @@ class MinCombStrategy(Strategy):
             for j, c in enumerate(self.copies):
                 if j == ci or any(x not in alive for x in c):
                     continue
-                centre = (min(c[1], c[2]), max(c[1], c[2]))
-                return state.to_residual(centre)
+                return (min(c[1], c[2]), max(c[1], c[2]))
             return self._fallback(state, alive)
         # the move joined two copies: an edge at a surviving root leaf there
         targets = {
             x for x in self.copies[ci] + self.copies[cj]
             if x in self.leaves and x in alive
         }
-        for e in state.residual.edges():
-            a, b = state.to_root(e)
+        for a, b in state.moves:
             if a in targets or b in targets:
-                return e
+                return (a, b)
         return self._fallback(state, alive)
 
 
@@ -305,8 +295,8 @@ class MinPathStrategy(Strategy):
         path = longest_path_in_forest(state.residual)
         if len(path) >= 3:
             a, b = path[1], path[2]
-            return (min(a, b), max(a, b))
-        return _first_edge(state.residual)
+            return state.to_root((min(a, b), max(a, b)))
+        return state.moves[0]
 
 
 class MaxPathStrategy(Strategy):
@@ -318,11 +308,11 @@ class MaxPathStrategy(Strategy):
         path = longest_path_in_forest(state.residual)
         if len(path) >= 4:
             a, b = path[2], path[3]
-            return (min(a, b), max(a, b))
+            return state.to_root((min(a, b), max(a, b)))
         pairs = [
             (min(a, b), max(a, b)) for a, b in zip(path, path[1:])
         ]
-        return min(pairs)
+        return state.to_root(min(pairs))
 
 
 class MaxMinDegStrategy(Strategy):
@@ -331,12 +321,12 @@ class MaxMinDegStrategy(Strategy):
     name = "max_mindeg"
 
     def choose(self, state: GameState) -> Edge:
-        g = state.residual
         if not state.history:
-            return _first_edge(g)
-        degs = [g.degree(v) for v in range(g.n)]
-        low = min(d for d in degs if d > 0)
-        for u, v in g.edges():
+            return state.moves[0]
+        adj, mask = state.root.adj, state.mask
+        degs = {v: popcount(adj[v] & mask) for v in bits(mask)}
+        low = min(d for d in degs.values() if d > 0)
+        for u, v in state.moves:
             if degs[u] == low or degs[v] == low:
                 return (u, v)
         raise GraphError("no edges left")  # unreachable
@@ -362,7 +352,6 @@ class MinGkStrategy(Strategy):
         self.copies = gk_block_copies(k)
 
     def choose(self, state: GameState) -> Edge:
-        alive = set(state.origin)
         played = [e for e, _ in state.history]
         per_copy = [sum(1 for e in played if e in c.edges) for c in self.copies]
         if state.history:
@@ -370,14 +359,14 @@ class MinGkStrategy(Strategy):
             for i, c in enumerate(self.copies):
                 if last in c.edges and per_copy[i] == 1:
                     for f in c.f_edges:
-                        if f[0] in alive and f[1] in alive:
-                            return state.to_residual(f)
+                        if f in state.moves:
+                            return f
         for i, c in enumerate(self.copies):
             if per_copy[i] == 0:
                 for f in c.f_edges:
-                    if f[0] in alive and f[1] in alive:
-                        return state.to_residual(f)
-        return _first_edge(state.residual)
+                    if f in state.moves:
+                        return f
+        return state.moves[0]
 
 
 STRATEGIES: dict[str, type[Strategy]] = {

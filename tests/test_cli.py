@@ -1,3 +1,7 @@
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from matchgame.cache import CacheEntry, cache_put
@@ -280,3 +284,24 @@ def test_budget_and_jobs_of_one_are_accepted(capsys):
         capsys, "verify", "--check", "trivial_bounds", "--corpus", "exhaustive:3", "--jobs", "1",
     )
     assert rc == 0 and "pass (4 classes)" in out
+
+
+def _readme_examples():
+    """(argv, expected output) for each ``$ matchgame ...`` block of the README."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"^```\n(\$ matchgame .*?)^```$", text, re.M | re.S):
+        command, _, output = block.partition("\n")
+        yield shlex.split(command)[2:], output
+
+
+def _mask_times(text):
+    return re.sub(r"\[\d+\.\d+s\]", "[..s]", re.sub(r"time=\d+\.\d+s", "time=..s", text))
+
+
+def test_readme_examples_match_the_cli(capsys):
+    examples = list(_readme_examples())
+    assert [argv[0] for argv, _ in examples] == ["solve", "gen", "table", "verify", "play"]
+    for argv, expected in examples:
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert _mask_times(out) == _mask_times(expected)

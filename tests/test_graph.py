@@ -196,10 +196,13 @@ def test_residual_removes_exactly_endpoint_edges(seed, n):
 
 
 def test_subgraph_mask_output_passes_validation():
-    # subgraph_mask builds its result without re-validating it
+    # subgraph_mask and delete_edge build their results without re-validating them
     rng = random.Random(23)
     for _ in range(200):
         g = random_graph(rng, rng.randint(0, 14), rng.choice((0.2, 0.5, 0.8)))
         for _ in range(3):
             h = subgraph_mask(g, rng.getrandbits(g.n) if g.n else 0)
+            assert Graph(h.n, h.adj) == h
+        if g.edge_count:
+            h = delete_edge(g, rng.choice(g.edge_tuple))
             assert Graph(h.n, h.adj) == h

@@ -207,14 +207,21 @@ def test_memo_budget():
 
 def test_gamestate_coordinate_maps():
     g = cycle(6)
-    mask = g.vertex_mask & ~0b11  # vertices 0 and 1 removed
-    state = GameState(subgraph_mask(g, mask), MIN, (2, 3, 4, 5))
-    assert state.to_root((0, 1)) == (2, 3)
-    assert state.to_residual((4, 5)) == (2, 3)
-    assert state.to_root(state.to_residual((2, 5))) == (2, 5)
+    mask = g.vertex_mask & ~0b11  # vertices 0 and 1 covered
+    state = GameState(g, mask, MIN)
+    assert state.moves == ((2, 3), (3, 4), (4, 5))
+    assert all(e is f for e, f in zip(state.moves, g.edge_tuple[3:]))
+    assert state.residual == subgraph_mask(g, mask) == path(4)
+    assert [state.to_root(e) for e in state.residual.edges()] == list(state.moves)
 
 
 class _Recording(Strategy):
+    """Checks and records each position it is shown.
+
+    The checks run inside the game, so a position that fails them stops
+    the game at once instead of letting it run on.
+    """
+
     name = "recording"
 
     def __init__(self, inner: Strategy) -> None:
@@ -227,15 +234,25 @@ class _Recording(Strategy):
         self.states = []
 
     def choose(self, state: GameState):
+        # the mask holds exactly the root vertices no played edge covers,
+        # and the moves are the root edges between them
+        gone = sum(1 << v for e, _ in state.history for v in e)
+        assert state.mask == self.root.vertex_mask & ~gone
+        assert state.moves == tuple(e for e in self.root.edges() if not gone & (1 << e[0] | 1 << e[1]))
         self.states.append(state)
         return self.inner.choose(state)
 
 
-class _Illegal(Strategy):
-    name = "illegal"
+class _Scripted(Strategy):
+    """Gives its answers in turn, then the least legal move."""
+
+    name = "scripted"
+
+    def __init__(self, *answers) -> None:
+        self.answers = list(answers)
 
     def choose(self, state: GameState):
-        return (0, 0)
+        return self.answers.pop(0) if self.answers else state.moves[0]
 
 
 def _is_maximal_root_matching(g, moves) -> bool:
@@ -265,9 +282,6 @@ def test_play_records_history_in_root_ids():
     for i, state in enumerate(rec.states):
         assert state.to_move is MAX
         assert tuple(e for e, _ in state.history) == t.moves[: 2 * i]
-        # origin lists exactly the root vertices missing from history
-        gone = {v for e, _ in state.history for v in e}
-        assert set(state.origin) == set(range(6)) - gone
 
 
 def test_play_edgeless_is_empty():
@@ -281,9 +295,27 @@ def test_play_shared_strategy_object():
     assert _is_maximal_root_matching(cycle(6), t.moves)
 
 
-def test_forfeit_names_the_strategy():
-    with pytest.raises(StrategyForfeit, match="illegal"):
-        play(cycle(6), MAX, _Illegal(), make_strategy("exact"))
+@pytest.mark.parametrize("answers, played", [
+    pytest.param((None,), None, id="none"),
+    pytest.param(((0,),), None, id="one-end"),
+    pytest.param(((0, 1, 2),), None, id="three-ends"),
+    pytest.param(((0, 0),), None, id="loop"),
+    pytest.param(((7, 8),), None, id="outside"),
+    # (1, 2) is a root edge, but the opening (0, 1) covered vertex 1
+    pytest.param(((0, 1), (1, 2)), None, id="covered"),
+    pytest.param(((1, 0),), (0, 1), id="reversed"),
+    pytest.param(([0, 1],), (0, 1), id="list"),
+])
+def test_forfeit_names_the_strategy(answers, played):
+    g = cycle(6)
+    scripted = _Scripted(*answers)
+    if played is None:
+        with pytest.raises(StrategyForfeit, match=r"^scripted returned .*, not a legal edge$"):
+            play(g, MAX, scripted, scripted)
+    else:
+        t = play(g, MAX, scripted, scripted)
+        assert t.moves[0] == played and t.moves[0] is g.edge_tuple[0]
+        assert _is_maximal_root_matching(g, t.moves)
 
 
 def test_transcripts_stay_within_trivial_bounds(classes_le5):

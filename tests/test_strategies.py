@@ -25,7 +25,7 @@ MAX, MIN = Player.MAX, Player.MIN
 
 
 def _state(g, player, history=()):
-    return GameState(g, player, tuple(range(g.n)), tuple(history))
+    return GameState(g, g.vertex_mask, player, tuple(history))
 
 
 def _first_choice(name, g, player, **kw):
@@ -65,16 +65,9 @@ def test_min_comb_answers_centre_of_other_copy():
     strat = MinCombStrategy()
     strat.reset(g)
     assert strat.copies == [(4, 0, 1, 5), (6, 2, 3, 7)]
-    # residual after Max plays (0,1): vertices 2..7 remain
-    from matchgame.graph import subgraph_mask
-
-    mask = g.vertex_mask & ~0b11
-    state = GameState(
-        subgraph_mask(g, mask), MIN, tuple(v for v in range(8) if v > 1),
-        history=(((0, 1), MAX),),
-    )
-    move = state.to_root(strat.choose(state))
-    assert move == (2, 3)
+    # after Max plays (0,1): vertices 2..7 remain
+    state = GameState(g, g.vertex_mask & ~0b11, MIN, history=(((0, 1), MAX),))
+    assert strat.choose(state) == (2, 3)
 
 
 def test_min_comb_join_move_answers_at_leaf():
@@ -83,16 +76,9 @@ def test_min_comb_join_move_answers_at_leaf():
     strat.reset(g)
     # (1,2) joins the two copies; the reply must cover a surviving leaf
     # of those copies in root ids
-    from matchgame.graph import subgraph_mask
-
-    mask = g.vertex_mask & ~0b110
-    state = GameState(
-        subgraph_mask(g, mask), MIN,
-        tuple(v for v in range(8) if v not in (1, 2)),
-        history=(((1, 2), MAX),),
-    )
-    move = state.to_root(strat.choose(state))
-    assert set(move) & {4, 5, 6, 7}
+    state = GameState(g, g.vertex_mask & ~0b110, MIN, history=(((1, 2), MAX),))
+    move = strat.choose(state)
+    assert move in state.moves and set(move) & {4, 5, 6, 7}
 
 
 def test_min_gk_blocked_edges_match_block_pm_oracle():
@@ -233,7 +219,7 @@ class _PerTurnExact(Strategy):
         self.mode = mode
 
     def choose(self, state):
-        return solve(state.residual, state.to_move, mode=self.mode).optimal_moves[0]
+        return state.to_root(solve(state.residual, state.to_move, mode=self.mode).optimal_moves[0])
 
 
 def _seeded_graphs(seed, count, sizes=(2, 10)):
