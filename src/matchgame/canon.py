@@ -99,31 +99,47 @@ def _canonical_forest(g: Graph) -> Graph:
 def _refine(adj: tuple[int, ...], partition: list[int]) -> list[int]:
     """Coarsest stable refinement, deterministic cell order.
 
-    Cells split by neighbour count into each splitter cell; fragments
-    are ordered by count, so the resulting cell order depends only on
-    the isomorphism type of (graph, ordered partition).
+    Splitter cells are taken in order.  Each splits every cell by
+    neighbour count into it, fragments ordered by count, and the scan
+    restarts from the first splitter after any split, so the resulting
+    cell order depends only on the isomorphism type of (graph, ordered
+    partition).  A cell disjoint from the splitter's neighbour union
+    has count 0 throughout and is passed over uncounted; a one-vertex
+    splitter {s} splits a cell by one AND with adj[s].
     """
     while True:
-        changed = False
-        for splitter in list(partition):
-            out: list[int] = []
-            for cell in partition:
-                if popcount(cell) == 1:
-                    out.append(cell)
-                    continue
-                groups: dict[int, int] = {}
-                for v in bits(cell):
-                    k = popcount(adj[v] & splitter)
-                    groups[k] = groups.get(k, 0) | 1 << v
-                if len(groups) == 1:
-                    out.append(cell)
+        for splitter in partition:
+            single = not splitter & (splitter - 1)
+            if single:
+                union = adj[splitter.bit_length() - 1]
+            else:
+                union = 0
+                for s in bits(splitter):
+                    union |= adj[s]
+            out: list[int] | None = None
+            for i, cell in enumerate(partition):
+                hit = cell & union
+                if not hit or not cell & (cell - 1):
+                    frags = None
+                elif single:
+                    frags = None if hit == cell else (cell & ~union, hit)
                 else:
-                    changed = True
-                    out.extend(groups[k] for k in sorted(groups))
-            partition = out
-            if changed:
+                    # vertices outside the union count 0, those inside at least 1
+                    groups: dict[int, int] = {0: cell & ~union} if hit != cell else {}
+                    for v in bits(hit):
+                        k = popcount(adj[v] & splitter)
+                        groups[k] = groups.get(k, 0) | 1 << v
+                    frags = [groups[k] for k in sorted(groups)] if len(groups) > 1 else None
+                if frags is not None:
+                    if out is None:
+                        out = partition[:i]
+                    out.extend(frags)
+                elif out is not None:
+                    out.append(cell)
+            if out is not None:
+                partition = out
                 break
-        if not changed:
+        else:
             return partition
 
 
@@ -181,9 +197,12 @@ class _Canonizer:
             return
         cell = partition[target]
         explored: list[int] = []
+        reps: list[int] = []
+        reps_gens = -1  # len(self.gens) when reps was computed
         for v in bits(cell):
             if explored:
-                reps = self._orbit_reps(base)
+                if reps_gens != len(self.gens):
+                    reps, reps_gens = self._orbit_reps(base), len(self.gens)
                 if any(reps[v] == reps[u] for u in explored):
                     continue
             child = (

@@ -169,7 +169,7 @@ class InteractiveStrategy(Strategy):
     name = "interactive"
 
     def choose(self, state: GameState):
-        print(f"legal moves: {' '.join(sorted(_edge_str(e) for e in state.moves))}")
+        print(f"legal moves: {' '.join(_edge_str(e) for e in state.moves)}")
         while True:
             try:
                 line = input(f"{state.to_move} move (u v)> ")

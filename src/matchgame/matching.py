@@ -129,17 +129,20 @@ def edge_in_maximum_matching(g: Graph, e: Edge, alpha: int | None = None) -> boo
     return len(_blossom_match(g, g.vertex_mask & ~(1 << u | 1 << v))) == alpha - 1
 
 
-def covering_max_matching(g: Graph, v: int) -> Matching:
+def covering_max_matching(g: Graph, v: int, alpha: int | None = None) -> Matching:
     """A maximum matching containing an edge at v, least such edge first.
 
     Every non-isolated vertex of a graph is covered by some maximum
-    matching, so this fails only on isolated vertices.
+    matching, so this fails only on isolated vertices.  ``alpha``, if
+    given, is alpha'(g), so a caller asking about every vertex computes
+    it once.
     """
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} not in graph")
     if not g.adj[v]:
         raise GraphError(f"vertex {v} is isolated")
-    alpha = matching_number(g)
+    if alpha is None:
+        alpha = matching_number(g)
     for u in bits(g.adj[v]):
         rest = _blossom_match(g, g.vertex_mask & ~(1 << u | 1 << v))
         if len(rest) == alpha - 1:
@@ -226,56 +229,51 @@ class WitnessResult:
     """Outcome of the compatible-matching search.
 
     status is "found" (with the witness matching), "absent" (complete
-    enumeration found none) or "inconclusive" (enumeration cap hit).
+    search found none) or "inconclusive" (search node cap hit).
     """
 
     status: str
     matching: Matching | None = None
 
 
-def _partner_compatible(g: Graph, partner: dict[int, int]) -> bool:
-    for u, v in g.edges():
-        pu = partner.get(u)
-        pv = partner.get(v)
-        if pu is None or pv is None or pu == v:
-            continue
-        if not g.has_edge(pu, pv):
-            return False
-    return True
-
-
 def compatibility_witness(g: Graph, cap: int = 10**6) -> WitnessResult:
     """Search maximum matchings M with the partner-closure property:
 
     whenever uu' and vv' are in M and uv is an edge, u'v' is an edge
-    too.  Matchings are enumerated in lexicographic edge order; at most
-    ``cap`` maximum matchings are examined.
+    too.  The property is a condition on each pair of edges of M, so an
+    edge is rejected as soon as it breaks it with an edge already
+    chosen, and no compatible matching is lost.  Matchings are searched
+    in lexicographic edge order, so the witness is the lexicographically
+    first compatible maximum matching.  At most ``cap`` search nodes
+    (partial matchings) are visited before the answer is "inconclusive".
     """
     alpha = matching_number(g)
     if alpha == 0:
         return WitnessResult("found", frozenset())
+    adj = g.adj
     edges = list(g.edges())
     seen = 0
 
+    def closed(u: int, v: int, chosen: list[Edge]) -> bool:
+        # for each chosen ab: u~a => v~b, v~b => u~a, u~b => v~a, v~a => u~b
+        for a, b in chosen:
+            if (adj[u] >> a ^ adj[v] >> b) & 1 or (adj[u] >> b ^ adj[v] >> a) & 1:
+                return False
+        return True
+
     def extend(i: int, chosen: list[Edge], covered: int) -> WitnessResult | None:
         nonlocal seen
+        seen += 1
+        if seen > cap:
+            return WitnessResult("inconclusive")
         if len(chosen) == alpha:
-            seen += 1
-            partner = {}
-            for a, b in chosen:
-                partner[a] = b
-                partner[b] = a
-            if _partner_compatible(g, partner):
-                return WitnessResult("found", frozenset(chosen))
-            if seen >= cap:
-                return WitnessResult("inconclusive")
-            return None
+            return WitnessResult("found", frozenset(chosen))
         need = alpha - len(chosen)
         if len(_blossom_match(g, g.vertex_mask & ~covered)) < need:
             return None
         for j in range(i, len(edges)):
             u, v = edges[j]
-            if covered & (1 << u | 1 << v):
+            if covered & (1 << u | 1 << v) or not closed(u, v, chosen):
                 continue
             chosen.append((u, v))
             res = extend(j + 1, chosen, covered | 1 << u | 1 << v)

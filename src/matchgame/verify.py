@@ -20,20 +20,20 @@ from .families import disjoint_union, gadget_H, star
 from .graph import (
     Graph,
     GraphError,
-    induced_delete,
     is_connected,
     is_forest,
     is_linear_forest,
     split_partition,
 )
 from .matching import (
+    _blossom_match,
     compatibility_witness,
     covered_vertices,
     covering_max_matching,
     matching_number,
     min_maximal_number,
 )
-from .solver import DEFAULT_BUDGET, MemoBudgetError, Player, play, solve
+from .solver import DEFAULT_BUDGET, MemoBudgetError, Player, _table, play, solve
 from .strategies import (
     ExactStrategy,
     GreedyFirstStrategy,
@@ -71,11 +71,15 @@ class CheckContext:
     def result(self, g: Graph, first: Player):
         return _solve_cached(g, first, self.mode, self.budget)
 
-    def values(self, g: Graph) -> tuple[int, int]:
-        return (
-            self.result(g, Player.MAX).value,
-            self.result(g, Player.MIN).value,
-        )
+    def values(self, g: Graph, mask: int | None = None) -> tuple[int, int]:
+        """(Max, Min) of g, or of g[mask] read from g's own table."""
+        if mask is None:
+            return (
+                self.result(g, Player.MAX).value,
+                self.result(g, Player.MIN).value,
+            )
+        value = _table(g, self.mode, self.budget)
+        return value(mask, Player.MAX), value(mask, Player.MIN)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -112,7 +116,7 @@ def check_monotone_delete(item, ctx):
     mx, mn = ctx.values(g)
     out = []
     for v in range(g.n):
-        sx, sn = ctx.values(induced_delete(g, {v}))
+        sx, sn = ctx.values(g, g.vertex_mask & ~(1 << v))
         if sx > mx or sn > mn:
             out.append(
                 Violation(
@@ -129,7 +133,7 @@ def check_delete_drop_le2(item, ctx):
     mx, mn = ctx.values(g)
     out = []
     for v in range(g.n):
-        sx, sn = ctx.values(induced_delete(g, {v}))
+        sx, sn = ctx.values(g, g.vertex_mask & ~(1 << v))
         if sx < mx - 2 or sn < mn - 2:
             out.append(
                 Violation(
@@ -235,19 +239,19 @@ def check_matching_lemmas(item, ctx):
         )
     if g.n >= 2 and delta >= floor_half + 1:
         for u, v in g.edges():
-            rest = induced_delete(g, {u, v})
-            if 1 + matching_number(rest) < floor_half:
+            rest = len(_blossom_match(g, g.vertex_mask & ~(1 << u | 1 << v)))
+            if 1 + rest < floor_half:
                 out.append(
                     Violation(
                         _w(item),
                         f"min degree {delta} puts every edge in a matching of size {floor_half}",
-                        f"edge {u}-{v} extends only to {1 + matching_number(rest)}",
+                        f"edge {u}-{v} extends only to {1 + rest}",
                     )
                 )
     for v in range(g.n):
         if g.degree(v) == 0:
             continue
-        m = covering_max_matching(g, v)
+        m = covering_max_matching(g, v, a)
         if len(m) != a or v not in covered_vertices(m):
             out.append(
                 Violation(
@@ -389,7 +393,7 @@ def check_deletion_drop_sharp(item, ctx):
         return []
     g = item.graph
     mx, mn = ctx.values(g)
-    sx, sn = ctx.values(induced_delete(g, {0}))
+    sx, sn = ctx.values(g, g.vertex_mask & ~1)
     if r == 1 and mx - sx != 2:
         return [Violation(_w(item), f"Max drops by exactly 2 from {mx}", f"Max={sx}")]
     if r == 2 and mn - sn != 2:

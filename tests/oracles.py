@@ -8,7 +8,10 @@ these exceptions: ``labeled_class_count`` dedups labelled graphs by
 extension, and ``exhaustive_classes`` and ``connected_cubic_classes``
 are the corpus generators as they were before orbit pruning (every
 candidate canonicalised), kept as the reference the pruned generators
-must reproduce exactly.
+must reproduce exactly; ``compatibility_witness_reference`` and
+``refine_reference`` are the compatible-matching search and the
+refinement as they were before pruning, kept for the same reason (the
+first still bounds its search with the package's blossom matching).
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from itertools import combinations, permutations
 
 from matchgame.canon import canonical_certificate
 from matchgame.corpus import CUBIC_LIMIT, EXHAUSTIVE_LIMIT, _partitions_min3
-from matchgame.graph import Graph, GraphError, from_edges, is_connected, residual
+from matchgame.graph import Graph, GraphError, bits, from_edges, is_connected, popcount, residual
+from matchgame.matching import WitnessResult, _blossom_match, matching_number
 from matchgame.solver import Player, SolveResult
 
 
@@ -253,3 +257,84 @@ def connected_cubic_classes(n: int) -> tuple[Graph, ...]:
             if cert not in reps:
                 reps[cert] = cand
     return tuple(reps[c] for c in sorted(reps))
+
+
+def _partner_compatible(g: Graph, partner: dict[int, int]) -> bool:
+    for u, v in g.edges():
+        pu = partner.get(u)
+        pv = partner.get(v)
+        if pu is None or pv is None or pu == v:
+            continue
+        if not g.has_edge(pu, pv):
+            return False
+    return True
+
+
+def compatibility_witness_reference(g: Graph, cap: int = 10**6) -> WitnessResult:
+    """Enumerate maximum matchings in lexicographic edge order and test
+    the partner-closure property on each whole matching; at most ``cap``
+    maximum matchings are examined.
+    """
+    alpha = matching_number(g)
+    if alpha == 0:
+        return WitnessResult("found", frozenset())
+    edges = list(g.edges())
+    seen = 0
+
+    def extend(i: int, chosen: list, covered: int):
+        nonlocal seen
+        if len(chosen) == alpha:
+            seen += 1
+            partner = {}
+            for a, b in chosen:
+                partner[a] = b
+                partner[b] = a
+            if _partner_compatible(g, partner):
+                return WitnessResult("found", frozenset(chosen))
+            if seen >= cap:
+                return WitnessResult("inconclusive")
+            return None
+        need = alpha - len(chosen)
+        if len(_blossom_match(g, g.vertex_mask & ~covered)) < need:
+            return None
+        for j in range(i, len(edges)):
+            u, v = edges[j]
+            if covered & (1 << u | 1 << v):
+                continue
+            chosen.append((u, v))
+            res = extend(j + 1, chosen, covered | 1 << u | 1 << v)
+            chosen.pop()
+            if res is not None:
+                return res
+        return None
+
+    res = extend(0, [], 0)
+    return res if res is not None else WitnessResult("absent")
+
+
+def refine_reference(adj: tuple[int, ...], partition: list[int]) -> list[int]:
+    """Coarsest stable refinement: every cell counted against every
+    splitter, fragments ordered by count, scan restarted after a split.
+    """
+    while True:
+        changed = False
+        for splitter in list(partition):
+            out: list[int] = []
+            for cell in partition:
+                if popcount(cell) == 1:
+                    out.append(cell)
+                    continue
+                groups: dict[int, int] = {}
+                for v in bits(cell):
+                    k = popcount(adj[v] & splitter)
+                    groups[k] = groups.get(k, 0) | 1 << v
+                if len(groups) == 1:
+                    out.append(cell)
+                else:
+                    changed = True
+                    out.extend(groups[k] for k in sorted(groups))
+            partition = out
+            if changed:
+                break
+        if not changed:
+            return partition

@@ -6,6 +6,7 @@ import pytest
 from matchgame.canon import (
     _canonical_forest,
     _canonical_ir,
+    _refine,
     are_isomorphic,
     automorphism_generators,
     canonical_certificate,
@@ -14,7 +15,7 @@ from matchgame.canon import (
 from matchgame.corpus import exhaustive_classes
 from matchgame.families import complete, cycle, disjoint_union, path, star
 from matchgame.graph import Graph, from_edges, is_forest
-from oracles import brute_isomorphic, permuted, random_graph
+from oracles import brute_isomorphic, permuted, random_graph, refine_reference
 
 
 def test_relabeling_invariance_examples():
@@ -184,3 +185,26 @@ def test_canonical_representatives_pass_validation():
         outputs = [_canonical_ir(g)] + ([_canonical_forest(g)] if is_forest(g) else [])
         for h in outputs:
             assert h.n == g.n and Graph(h.n, h.adj) == h
+
+
+def test_refine_equals_reference_on_random_ordered_partitions():
+    rng = random.Random(29)
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, p=rng.choice([0.15, 0.3, 0.5, 0.7, 0.85]))
+        labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        cells: dict[int, int] = {}
+        for v, c in enumerate(labels):
+            cells[c] = cells.get(c, 0) | 1 << v
+        partition = list(cells.values())
+        rng.shuffle(partition)
+        assert _refine(g.adj, partition) == refine_reference(g.adj, partition)
+
+
+def test_refine_equals_reference_after_individualising_a_vertex(classes_le6):
+    for g in classes_le6[1:]:  # the search never refines the empty graph
+        full = g.vertex_mask
+        assert _refine(g.adj, [full]) == refine_reference(g.adj, [full])
+        for v in range(g.n):
+            part = [1 << v, full & ~(1 << v)] if g.n > 1 else [full]
+            assert _refine(g.adj, part) == refine_reference(g.adj, part)

@@ -238,6 +238,14 @@ def test_play_interactive(capsys, monkeypatch):
     assert "final size: 2" in out and "matches optimal play" in out
 
 
+def test_play_interactive_lists_moves_in_edge_order(capsys, monkeypatch):
+    _scripted_input(monkeypatch, [])
+    rc, out, _ = run(capsys, "play", "--gen", "cycle:12", "--interactive", "first")
+    assert rc == 1
+    assert "legal moves: 0-1 0-11 1-2 2-3 3-4 4-5 5-6 6-7 7-8 8-9 9-10 10-11\n" in out
+    assert "aborted after 0 moves" in out
+
+
 def test_play_interactive_eof_aborts(capsys, monkeypatch):
     _scripted_input(monkeypatch, ["0 1"])
     rc, out, _ = run(

@@ -24,7 +24,10 @@ from matchgame.matching import (
     min_maximal_matching,
     min_maximal_number,
 )
+from matchgame.corpus import corpus_from_spec, exhaustive_classes
 from oracles import (
+    compatibility_witness_reference,
+    random_graph,
     brute_matching_number,
     brute_maximal_matchings,
     brute_min_maximal_number,
@@ -183,6 +186,25 @@ def test_compatibility_witness_absent_and_cap():
     assert compatibility_witness(cycle(6)).status == "absent"
     res = compatibility_witness(cycle(6), cap=1)
     assert res.status == "inconclusive" and res.matching is None
+
+
+def test_compatibility_witness_equals_reference():
+    # same status and same (lexicographically first) witness as the
+    # search that tests closure only on whole maximum matchings
+    graphs = [g for n in range(8) for g in exhaustive_classes(n)]
+    graphs += [item.graph for item in corpus_from_spec("cubic:4..10")]
+    rng = random.Random(41)
+    graphs += [random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.4, 0.6, 0.8])) for _ in range(300)]
+    for g in graphs:
+        assert compatibility_witness(g) == compatibility_witness_reference(g), g
+
+
+def test_covering_max_matching_with_alpha_equals_without(classes_le6):
+    for g in classes_le6:
+        alpha = matching_number(g)
+        for v in range(g.n):
+            if g.adj[v]:
+                assert covering_max_matching(g, v, alpha) == covering_max_matching(g, v)
 
 
 def _path_cycle_unions(total):

@@ -1,7 +1,7 @@
 import pytest
 
 from matchgame.corpus import corpus_from_spec
-from matchgame.graph import GraphError
+from matchgame.graph import GraphError, induced_delete
 from matchgame.graph6 import parse
 from matchgame.solver import game_values
 from matchgame.verify import (
@@ -144,3 +144,47 @@ def test_report_and_violation_shapes():
     assert not r.passed
     ctx = CheckContext()
     assert ctx.mode == "subset"
+
+
+@pytest.mark.parametrize("mode", ["subset", "iso"])
+def test_values_at_a_mask_equal_the_vertex_deleted_graph(classes_le6, mode):
+    ctx = CheckContext(mode=mode)
+    for g in classes_le6:
+        for v in range(g.n):
+            want = game_values(induced_delete(g, {v}), mode=mode)
+            assert ctx.values(g, g.vertex_mask & ~(1 << v)) == want
+
+
+@pytest.mark.parametrize(
+    "check, spec, deleted",
+    [
+        ("monotone_delete", "family:path:5", range(5)),
+        ("delete_drop_le2", "family:cycle:6", range(6)),
+        ("deletion_drop_sharp", "family:rK2_C6:1", [0]),
+    ],
+)
+def test_deletion_checks_read_each_vertex_deleted_mask(check, spec, deleted):
+    asked = []
+
+    class Recording(CheckContext):
+        def values(self, g, mask=None):
+            asked.append(mask)
+            return super().values(g, mask)
+
+    item = corpus_from_spec(spec)[0]
+    assert CHECKS[check](item, Recording()) == []
+    full = item.graph.vertex_mask
+    assert asked == [None] + [full & ~(1 << v) for v in deleted]
+
+
+def test_budget_covers_the_vertex_deleted_positions_too():
+    # the budget caps g's one table, which also holds the positions of
+    # every g - v: a budget that each solve fits alone can be too small
+    item = corpus_from_spec("family:cycle:6")[0]
+    g, budget = item.graph, 40
+    game_values(g, budget=budget)
+    for v in range(g.n):
+        game_values(induced_delete(g, {v}), budget=budget)
+    report = run_check("monotone_delete", [item], budget=budget)
+    assert [v.expected for v in report.violations] == ["solve within memo budget"]
+    assert run_check("monotone_delete", [item], budget=2 * budget).passed
