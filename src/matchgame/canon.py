@@ -10,7 +10,10 @@ Two disjoint canonicalisation routes, chosen by an isomorphism
 invariant condition so classes never straddle them:
 
 * forests: rooted-subtree codes at the tree centres, trees sorted by
-  code; linear time-ish and hit constantly by game residuals,
+  code; linear time-ish and hit constantly by game residuals.  Each
+  distinct tuple of sorted codes becomes graph6 bytes once, through a
+  bounded memo, and ``piece_certificate`` codes a tree piece of a host
+  graph on the host's own masks,
 * everything else: individualisation-refinement search minimising the
   relabelled adjacency encoding, pruned by automorphism orbits
   discovered at equal leaves.
@@ -18,19 +21,32 @@ invariant condition so classes never straddle them:
 
 from __future__ import annotations
 
-from .graph import Graph, _derived, bits, component_masks, is_forest, popcount, subgraph_mask
+from functools import lru_cache
+
+from .graph import Graph, GraphError, _derived, bits, component_masks, popcount, subgraph_mask
 from . import graph6
 
 
 def canonical_certificate(g: Graph) -> bytes:
     """Certificate bytes; equal for isomorphic inputs (isolates ignored)."""
-    keep = sum(1 << v for v in range(g.n) if g.adj[v])
+    comps = [comp for comp in component_masks(g) if comp & (comp - 1)]
+    if all(_is_tree(g, comp) for comp in comps):
+        return _forest_certificate(tuple(sorted(_tree_code(g, comp) for comp in comps)))
+    keep = sum(comps)  # disjoint masks, so the sum is their union
     h = g if keep == g.vertex_mask else subgraph_mask(g, keep)
-    if h.n == 0:
-        return graph6.emit(h).encode("ascii")
-    if is_forest(h):
-        return graph6.emit(_canonical_forest(h)).encode("ascii")
     return graph6.emit(_canonical_ir(h)).encode("ascii")
+
+
+def piece_certificate(g: Graph, comp: int) -> bytes:
+    """``canonical_certificate(subgraph_mask(g, comp))`` for a connected comp.
+
+    ``comp`` must be a component of some g[keep], as ``component_masks``
+    returns it.  A tree piece is coded on g's own masks, with no derived
+    graph; any other piece takes the public route.
+    """
+    if _is_tree(g, comp):
+        return _forest_certificate((_tree_code(g, comp),) if comp & (comp - 1) else ())
+    return canonical_certificate(subgraph_mask(g, comp))
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -46,12 +62,24 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # -- forests ----------------------------------------------------------
 
 
+def _is_tree(g: Graph, comp: int) -> bool:
+    """A connected g[comp] is a tree iff it has |comp| - 1 edges."""
+    adj = g.adj
+    return sum(popcount(adj[v] & comp) for v in bits(comp)) == 2 * popcount(comp) - 2
+
+
 def _tree_centres(g: Graph, comp: int) -> list[int]:
-    """Centre vertex (or two) of a tree component, by leaf stripping."""
+    """Centre vertex (or two) of a tree component, by leaf stripping.
+
+    A component with a cycle runs out of leaves; it raises GraphError
+    rather than strip forever.
+    """
     alive = comp
     deg = {v: popcount(g.adj[v] & comp) for v in bits(comp)}
     while popcount(alive) > 2:
         drop = [v for v in bits(alive) if deg[v] <= 1]
+        if not drop:
+            raise GraphError("leaf stripping met a cycle")
         for v in drop:
             alive &= ~(1 << v)
             for u in bits(g.adj[v] & alive):
@@ -69,14 +97,18 @@ def _rooted_code(g: Graph, comp: int, root: int) -> str:
     return code(root, -1)
 
 
-def _canonical_forest(g: Graph) -> Graph:
-    codes = sorted(
-        min(_rooted_code(g, comp, r) for r in _tree_centres(g, comp))
-        for comp in component_masks(g)
-    )
-    # rebuild the labelled representative straight from the codes:
-    # preorder ids, children already in sorted order inside each code
-    adj = [0] * g.n
+def _tree_code(g: Graph, comp: int) -> str:
+    """Isomorphism code of the tree g[comp]: least rooted code at a centre."""
+    return min(_rooted_code(g, comp, r) for r in _tree_centres(g, comp))
+
+
+def _forest_from_codes(codes: tuple[str, ...]) -> Graph:
+    """The forest with one tree per code, vertices numbered in preorder.
+
+    Children are already in sorted order inside each code, so sorted
+    codes give the canonical representative.
+    """
+    adj = [0] * (sum(map(len, codes)) // 2)
     nxt = 0
     for code in codes:
         stack: list[int] = []
@@ -90,7 +122,13 @@ def _canonical_forest(g: Graph) -> Graph:
                 stack.append(vid)
             else:
                 stack.pop()
-    return _derived(g.n, tuple(adj))
+    return _derived(len(adj), tuple(adj))
+
+
+@lru_cache(maxsize=1 << 12)
+def _forest_certificate(codes: tuple[str, ...]) -> bytes:
+    """Certificate of the forest with the sorted tree codes ``codes``."""
+    return graph6.emit(_forest_from_codes(codes)).encode("ascii")
 
 
 # -- individualisation-refinement --------------------------------------

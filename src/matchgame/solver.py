@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 from . import graph6
-from .canon import canonical_certificate
+from .canon import piece_certificate
 from .graph import Edge, Graph, GraphError, bits, component_masks, popcount, subgraph_mask
 
 DEFAULT_BUDGET = 1 << 26
@@ -206,7 +206,7 @@ def _pieces(g: Graph, keep: int, certs: dict[int, bytes]) -> tuple[bytes, ...]:
     for comp in component_masks(g, keep):
         if comp & (comp - 1):
             if comp not in certs:
-                certs[comp] = canonical_certificate(subgraph_mask(g, comp))
+                certs[comp] = piece_certificate(g, comp)
             out.append(certs[comp])
     return tuple(sorted(out))
 

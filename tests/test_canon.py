@@ -1,21 +1,29 @@
+import hashlib
 import random
 from itertools import permutations
 
 import pytest
 
+from matchgame import graph6
 from matchgame.canon import (
-    _canonical_forest,
     _canonical_ir,
+    _forest_from_codes,
+    _is_tree,
     _refine,
+    _tree_code,
     are_isomorphic,
     automorphism_generators,
     canonical_certificate,
     canonical_form,
+    piece_certificate,
 )
-from matchgame.corpus import exhaustive_classes
+from matchgame.corpus import connected_cubic_classes, exhaustive_classes, tree_classes
 from matchgame.families import complete, cycle, disjoint_union, path, star
-from matchgame.graph import Graph, from_edges, is_forest
+from matchgame.graph import Graph, component_masks, from_edges, is_forest, subgraph_mask
 from oracles import brute_isomorphic, permuted, random_graph, refine_reference
+
+# SHA-256 of the certificates in test_certificates_match_pinned_hash
+PINNED = "799cbb92ff88fe07cb25ba9dc48b47478a0fd115533df30b8855e75b6c953bf6"
 
 
 def test_relabeling_invariance_examples():
@@ -182,9 +190,65 @@ def test_canonical_representatives_pass_validation():
     for i in range(200):
         n = rng.randint(1, 12)
         g = _random_forest(rng, n) if i % 2 else random_graph(rng, n, 0.4)
-        outputs = [_canonical_ir(g)] + ([_canonical_forest(g)] if is_forest(g) else [])
-        for h in outputs:
-            assert h.n == g.n and Graph(h.n, h.adj) == h
+        h = _canonical_ir(g)
+        assert h.n == g.n and Graph(h.n, h.adj) == h
+        if is_forest(g):
+            trees = [comp for comp in component_masks(g) if comp & (comp - 1)]
+            h = _forest_from_codes(tuple(sorted(_tree_code(g, comp) for comp in trees)))
+            assert h.n == sum(comp.bit_count() for comp in trees) and Graph(h.n, h.adj) == h
+            assert graph6.emit(h).encode("ascii") == canonical_certificate(g)
+
+
+def _edge_pieces(g):
+    """Every component that g keeps once both ends of one of its edges go."""
+    for u, v in g.edges():
+        for comp in component_masks(g, g.vertex_mask & ~(1 << u | 1 << v)):
+            yield comp
+
+
+def _forests_with_keeps():
+    rng = random.Random(31)
+    for _ in range(200):
+        g = _random_forest(rng, rng.randint(1, 14))
+        for _ in range(3):
+            yield g, rng.getrandbits(g.n)
+
+
+def _piece_corpus():
+    for n in range(1, 11):
+        yield from tree_classes(n)
+    for n in range(1, 7):
+        yield from exhaustive_classes(n)
+
+
+def test_piece_certificate_equals_public_route_on_edge_residuals():
+    for g in _piece_corpus():
+        for comp in _edge_pieces(g):
+            # the route first: a piece with a cycle must not take the tree route
+            assert _is_tree(g, comp) == is_forest(subgraph_mask(g, comp))
+            assert piece_certificate(g, comp) == canonical_certificate(subgraph_mask(g, comp))
+
+
+def test_piece_certificate_equals_public_route_on_random_forest_masks():
+    for g, keep in _forests_with_keeps():
+        for comp in component_masks(g, keep):
+            assert piece_certificate(g, comp) == canonical_certificate(subgraph_mask(g, comp))
+
+
+def test_certificates_match_pinned_hash():
+    # computed before piece_certificate existed, as
+    # canonical_certificate(subgraph_mask(g, comp)) for each piece
+    digest = hashlib.sha256()
+    corpus = list(_piece_corpus()) + [g for n in range(4, 11, 2) for g in connected_cubic_classes(n)]
+    for g in corpus:
+        digest.update(canonical_certificate(g) + b"\n")
+        for comp in _edge_pieces(g):
+            digest.update(piece_certificate(g, comp) + b"\n")
+    for g, keep in _forests_with_keeps():
+        digest.update(canonical_certificate(subgraph_mask(g, keep)) + b"\n")
+        for comp in component_masks(g, keep):
+            digest.update(piece_certificate(g, comp) + b"\n")
+    assert digest.hexdigest() == PINNED
 
 
 def test_refine_equals_reference_on_random_ordered_partitions():

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from matchgame.families import comb, complete, cycle, disjoint_union, path, star
-from matchgame import solver
-from matchgame.graph import GraphError, from_edges, is_connected, residual, subgraph_mask
+from matchgame import canon, solver
+from matchgame.graph import GraphError, from_edges, is_connected, popcount, residual, subgraph_mask
 from matchgame.solver import (
     GameState,
     MemoBudgetError,
@@ -120,16 +120,24 @@ def test_iso_keying_matches_subset():
 
 
 def test_iso_root_is_canonicalised_once_per_graph(monkeypatch):
-    real = solver.canonical_certificate
+    # every certificate the solver computes, by the order of its graph:
+    # pieces enter through piece_certificate, and those with a cycle go
+    # on to canonical_certificate
+    real_piece, real_cert = solver.piece_certificate, canon.canonical_certificate
     for g in (comb(2), _union(path(4), cycle(5), path(4))):
         _table.cache_clear()
         _moves.cache_clear()
         calls = []
-        monkeypatch.setattr(solver, "canonical_certificate", lambda h: calls.append(h) or real(h))
+        monkeypatch.setattr(
+            solver, "piece_certificate",
+            lambda h, comp: calls.append(popcount(comp)) or real_piece(h, comp),
+        )
+        monkeypatch.setattr(canon, "canonical_certificate", lambda h: calls.append(h.n) or real_cert(h))
         want = solve(g, MIN, mode="iso")
+        assert calls
         if is_connected(g):
             # a connected root's own certificate is never needed
-            assert calls and all(h.n < g.n for h in calls)
+            assert all(k < g.n for k in calls)
         calls.clear()
         solve(g, MAX, mode="iso")
         assert solve(g, MIN, mode="iso") == want
