@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graph import Graph, GraphError, _derived, bits, component_masks, popcount, subgraph_mask
+from .graph import Graph, _derived, bits, component_masks, popcount, subgraph_mask
 from . import graph6
 
 
@@ -65,36 +65,77 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 def _is_tree(g: Graph, comp: int) -> bool:
     """A connected g[comp] is a tree iff it has |comp| - 1 edges."""
     adj = g.adj
-    return sum(popcount(adj[v] & comp) for v in bits(comp)) == 2 * popcount(comp) - 2
+    degrees, rest = 0, comp
+    while rest:
+        low = rest & -rest
+        degrees += (adj[low.bit_length() - 1] & comp).bit_count()
+        rest ^= low
+    return degrees == 2 * comp.bit_count() - 2
+
+
+def _layers(adj: tuple[int, ...], comp: int, root: int) -> list[int]:
+    """Breadth-first layers of the connected g[comp] from root, as masks."""
+    layers = []
+    seen = frontier = 1 << root
+    while frontier:
+        layers.append(frontier)
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & comp & ~seen
+        seen |= frontier
+    return layers
 
 
 def _tree_centres(g: Graph, comp: int) -> list[int]:
-    """Centre vertex (or two) of a tree component, by leaf stripping.
+    """Centre vertex (or two) of a tree component: the middle of a longest path.
 
-    A component with a cycle runs out of leaves; it raises GraphError
-    rather than strip forever.
+    A sweep from any vertex ends at an end a of a longest path; a sweep
+    from a ends at its other end b.  Walking back from b, one vertex per
+    layer, reaches the middle layer or two.
     """
-    alive = comp
-    deg = {v: popcount(g.adj[v] & comp) for v in bits(comp)}
-    while popcount(alive) > 2:
-        drop = [v for v in bits(alive) if deg[v] <= 1]
-        if not drop:
-            raise GraphError("leaf stripping met a cycle")
-        for v in drop:
-            alive &= ~(1 << v)
-            for u in bits(g.adj[v] & alive):
-                deg[u] -= 1
-    return list(bits(alive))
+    adj = g.adj
+    far = _layers(adj, comp, (comp & -comp).bit_length() - 1)[-1]
+    layers = _layers(adj, comp, (far & -far).bit_length() - 1)
+    depth = len(layers) - 1
+    cur = layers[-1] & -layers[-1]
+    centres = []
+    for d in range(depth, depth // 2 - 1, -1):
+        if d <= (depth + 1) // 2:
+            centres.append(cur.bit_length() - 1)
+        if d:
+            cur = adj[cur.bit_length() - 1] & layers[d - 1]
+    return centres
 
 
 def _rooted_code(g: Graph, comp: int, root: int) -> str:
-    def code(v: int, parent: int) -> str:
-        children = sorted(
-            code(u, v) for u in bits(g.adj[v] & comp) if u != parent
-        )
-        return "(" + "".join(children) + ")"
+    """AHU code of the tree g[comp] rooted at root, deepest layer first.
 
-    return code(root, -1)
+    A vertex's code is its children's codes, sorted and joined, in one
+    pair of brackets; its children are its neighbours in the layer below.
+    """
+    adj = g.adj
+    layers = _layers(adj, comp, root)
+    code: dict[int, str] = {}
+    below = 0
+    for layer in reversed(layers):
+        rest = layer
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            kids = adj[v] & below
+            parts = []
+            while kids:
+                k = kids & -kids
+                parts.append(code[k.bit_length() - 1])
+                kids ^= k
+            parts.sort()
+            code[v] = "(" + "".join(parts) + ")"
+            rest ^= low
+        below = layer
+    return code[root]
 
 
 def _tree_code(g: Graph, comp: int) -> str:

@@ -175,8 +175,10 @@ def component_masks(g: Graph, keep: int | None = None) -> list[int]:
         comp = frontier = keep & -keep
         while frontier:
             reach = 0
-            for v in bits(frontier):
-                reach |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = reach & keep & ~comp
             comp |= frontier
         keep &= ~comp

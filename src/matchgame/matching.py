@@ -236,7 +236,7 @@ class WitnessResult:
     matching: Matching | None = None
 
 
-def compatibility_witness(g: Graph, cap: int = 10**6) -> WitnessResult:
+def compatibility_witness(g: Graph, cap: int = 10**6, alpha: int | None = None) -> WitnessResult:
     """Search maximum matchings M with the partner-closure property:
 
     whenever uu' and vv' are in M and uv is an edge, u'v' is an edge
@@ -246,8 +246,10 @@ def compatibility_witness(g: Graph, cap: int = 10**6) -> WitnessResult:
     in lexicographic edge order, so the witness is the lexicographically
     first compatible maximum matching.  At most ``cap`` search nodes
     (partial matchings) are visited before the answer is "inconclusive".
+    ``alpha``, if given, is alpha'(g), which a caller may already have.
     """
-    alpha = matching_number(g)
+    if alpha is None:
+        alpha = matching_number(g)
     if alpha == 0:
         return WitnessResult("found", frozenset())
     adj = g.adj

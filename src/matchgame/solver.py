@@ -9,13 +9,14 @@ a mask of its vertices, for either player: ``solve`` reads it for both
 starts and the ``exact`` strategy for both seats.  It has two modes:
 
 * subset mode: one memo per player to move, keyed by the mask,
-* iso mode: one memo keyed by the player and the sorted certificates of
-  the residual's components that have an edge, so isomorphic residuals
-  share one entry.  A move changes only the component it lands in; what
-  it leaves of a component class is looked up in ``_moves``, shared by
-  every table.  The table caches certificates by component mask, so an
-  untouched component of a disconnected root is canonicalised once and
-  a connected root's own certificate is never needed.
+* iso mode: one memo per player to move, keyed by the sorted
+  certificates of the residual's components that have an edge, so
+  isomorphic residuals share one entry.  A move changes only the
+  component it lands in; what it leaves of a component class is looked
+  up in ``_moves``, shared by every table.  The table caches
+  certificates by component mask, so an untouched component of a
+  disconnected root is canonicalised once and a connected root's own
+  certificate is never needed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable
 
 from . import graph6
 from .canon import piece_certificate
-from .graph import Edge, Graph, GraphError, bits, component_masks, popcount, subgraph_mask
+from .graph import MAX_VERTICES, Edge, Graph, GraphError, bits, component_masks, popcount, subgraph_mask
 
 DEFAULT_BUDGET = 1 << 26
 
@@ -222,33 +223,62 @@ def _moves(cert: bytes) -> tuple[tuple[bytes, ...], ...]:
 
 
 def _iso_table(g: Graph, budget: int) -> Callable[[int, Player], int]:
-    """One memo keyed by the iso key of a position and the player to move."""
-    certs: dict[int, bytes] = {}
-    memo: dict[tuple[tuple[bytes, ...], Player], int] = {}
+    """Memos keyed by the iso key of a position, one per player to move.
 
-    def search(key: tuple[bytes, ...], player: Player) -> int:
-        if not key:
-            return 0
-        hit = memo.get((key, player))
-        if hit is not None:
-            return hit
-        maximising = player is Player.MAX
-        best = None
+    The key is the sorted tuple of piece certificates.  The empty key is
+    the finished game, worth 0, and has no entry.  As in subset mode,
+    the child's memo is probed before each recursive call.
+    """
+    certs: dict[int, bytes] = {}
+    max_memo: dict[tuple[bytes, ...], int] = {}
+    min_memo: dict[tuple[bytes, ...], int] = {}
+    max_probe, min_probe = max_memo.get, min_memo.get
+
+    def search_max(key: tuple[bytes, ...]) -> int:
+        best = 0
         for i, comp in enumerate(key):
             if i and key[i - 1] == comp:
                 continue
             rest = key[:i] + key[i + 1:]
             for pieces in _moves(comp):
-                val = 1 + search(tuple(sorted(rest + pieces)), player.other)
-                if best is None or (val > best if maximising else val < best):
-                    best = val
-        if len(memo) >= budget:
+                child = tuple(sorted(rest + pieces))
+                val = min_probe(child)
+                if val is None:
+                    val = search_min(child) if child else 0
+                if val >= best:
+                    best = val + 1
+        if len(max_memo) + len(min_memo) >= budget:
             raise MemoBudgetError(f"memo table exceeded {budget} entries")
-        memo[(key, player)] = best
+        max_memo[key] = best
+        return best
+
+    def search_min(key: tuple[bytes, ...]) -> int:
+        best = MAX_VERTICES  # above any value: a game on n vertices plays <= n // 2 edges
+        for i, comp in enumerate(key):
+            if i and key[i - 1] == comp:
+                continue
+            rest = key[:i] + key[i + 1:]
+            for pieces in _moves(comp):
+                child = tuple(sorted(rest + pieces))
+                val = max_probe(child)
+                if val is None:
+                    val = search_max(child) if child else 0
+                if val + 1 < best:
+                    best = val + 1
+        if len(max_memo) + len(min_memo) >= budget:
+            raise MemoBudgetError(f"memo table exceeded {budget} entries")
+        min_memo[key] = best
         return best
 
     def value(mask: int, player: Player) -> int:
-        return search(_pieces(g, mask, certs), player)
+        key = _pieces(g, mask, certs)
+        if not key:
+            return 0
+        if player is Player.MAX:
+            hit = max_probe(key)
+            return search_max(key) if hit is None else hit
+        hit = min_probe(key)
+        return search_min(key) if hit is None else hit
 
     return value
 

@@ -175,11 +175,11 @@ def check_upper_mu(item, ctx):
 
 def check_compat_equality(item, ctx):
     g = item.graph
-    witness = compatibility_witness(g)
+    a = _alpha(g)
+    witness = compatibility_witness(g, alpha=a)
     if witness.status != "found":
         return []
     mx, mn = ctx.values(g)
-    a = _alpha(g)
     if mx == mn == a:
         return []
     return [

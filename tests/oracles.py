@@ -11,7 +11,10 @@ candidate canonicalised), kept as the reference the pruned generators
 must reproduce exactly; ``compatibility_witness_reference`` and
 ``refine_reference`` are the compatible-matching search and the
 refinement as they were before pruning, kept for the same reason (the
-first still bounds its search with the package's blossom matching).
+first still bounds its search with the package's blossom matching);
+``tree_code_reference`` is the tree code as it was before the forest
+route coded trees from breadth-first layer masks: centres by leaf
+stripping, codes by recursion.
 """
 
 from __future__ import annotations
@@ -338,3 +341,39 @@ def refine_reference(adj: tuple[int, ...], partition: list[int]) -> list[int]:
                 break
         if not changed:
             return partition
+
+
+def tree_centres_reference(g: Graph, comp: int) -> list[int]:
+    """Centre vertex (or two) of a tree component, by leaf stripping.
+
+    A component with a cycle runs out of leaves; it raises GraphError
+    rather than strip forever.
+    """
+    alive = comp
+    deg = {v: popcount(g.adj[v] & comp) for v in bits(comp)}
+    while popcount(alive) > 2:
+        drop = [v for v in bits(alive) if deg[v] <= 1]
+        if not drop:
+            raise GraphError("leaf stripping met a cycle")
+        for v in drop:
+            alive &= ~(1 << v)
+            for u in bits(g.adj[v] & alive):
+                deg[u] -= 1
+    return list(bits(alive))
+
+
+def rooted_code_reference(g: Graph, comp: int, root: int) -> str:
+    """AHU code of the tree g[comp] rooted at root, by recursion."""
+
+    def code(v: int, parent: int) -> str:
+        children = sorted(
+            code(u, v) for u in bits(g.adj[v] & comp) if u != parent
+        )
+        return "(" + "".join(children) + ")"
+
+    return code(root, -1)
+
+
+def tree_code_reference(g: Graph, comp: int) -> str:
+    """Least rooted code of the tree g[comp] over its centres."""
+    return min(rooted_code_reference(g, comp, r) for r in tree_centres_reference(g, comp))

@@ -20,7 +20,7 @@ from matchgame.canon import (
 from matchgame.corpus import connected_cubic_classes, exhaustive_classes, tree_classes
 from matchgame.families import complete, cycle, disjoint_union, path, star
 from matchgame.graph import Graph, component_masks, from_edges, is_forest, subgraph_mask
-from oracles import brute_isomorphic, permuted, random_graph, refine_reference
+from oracles import brute_isomorphic, permuted, random_graph, refine_reference, tree_code_reference
 
 # SHA-256 of the certificates in test_certificates_match_pinned_hash
 PINNED = "799cbb92ff88fe07cb25ba9dc48b47478a0fd115533df30b8855e75b6c953bf6"
@@ -233,6 +233,26 @@ def test_piece_certificate_equals_public_route_on_random_forest_masks():
     for g, keep in _forests_with_keeps():
         for comp in component_masks(g, keep):
             assert piece_certificate(g, comp) == canonical_certificate(subgraph_mask(g, comp))
+
+
+def _trees():
+    """Each component with an edge of the tree code corpus, as (g, comp)."""
+    for n in range(2, 13):
+        for g in tree_classes(n):
+            yield g, g.vertex_mask
+    for n in range(2, 63):
+        yield path(n), path(n).vertex_mask
+    for g, keep in _forests_with_keeps():
+        for comp in component_masks(g, keep):
+            if comp & (comp - 1):
+                yield g, comp
+
+
+def test_tree_code_equals_reference():
+    # every tree on at most 12 vertices, every path up to MAX_VERTICES,
+    # and the pieces of the seeded random forests
+    for g, comp in _trees():
+        assert _tree_code(g, comp) == tree_code_reference(g, comp)
 
 
 def test_certificates_match_pinned_hash():

@@ -207,6 +207,11 @@ def test_covering_max_matching_with_alpha_equals_without(classes_le6):
                 assert covering_max_matching(g, v, alpha) == covering_max_matching(g, v)
 
 
+def test_compatibility_witness_with_alpha_equals_without(classes_le6):
+    for g in classes_le6:
+        assert compatibility_witness(g, alpha=matching_number(g)) == compatibility_witness(g)
+
+
 def _path_cycle_unions(total):
     """All disjoint unions of paths and cycles on `total` vertices."""
 

@@ -165,12 +165,22 @@ def test_iso_move_table_is_bounded_and_clearable():
         assert solve(path(8), MAX, mode="iso").value == 3
 
 
-def test_iso_path_table_beyond_gate_two():
-    for n in range(29, 43):
+def _check_iso_path_max(ns):
+    for n in ns:
         mx = solve(path(n), MAX, mode="iso").value
         assert 3 * (n // 7) <= mx <= 3 * math.ceil(n / 7), f"P_{n}: Max={mx}"
         if n % 7 == 0:
             assert mx == 3 * (n // 7), f"P_{n}: Max={mx}"
+
+
+def test_iso_path_table_beyond_gate_two():
+    _check_iso_path_max(range(29, 43))
+
+
+@pytest.mark.slow
+def test_iso_path_table_to_56():
+    # equality at n = 49 and 56
+    _check_iso_path_max(range(43, 57))
 
 
 def test_one_move_recursion():
