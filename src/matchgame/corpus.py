@@ -3,8 +3,8 @@
 Sources:
 
 * ``exhaustive:N``      every isomorphism class on exactly N vertices
-                        (built-in for N <= 7 by vertex augmentation
-                        plus certificate dedup),
+                        (built-in for N <= 8 by adding a vertex of
+                        maximum degree, plus certificate dedup),
 * ``trees:N``           every tree class on N vertices (leaf
                         augmentation),
 * ``cubic:N``           every connected cubic class on N vertices,
@@ -20,7 +20,9 @@ Sources:
 * ``named:ID``          small fixed lists (krr_products, paw_p3).
 
 Ranges are allowed in the N of exhaustive/trees/cubic as well.  All
-sources yield deterministic item orders.
+sources yield deterministic item orders.  Items of the graph6-labelled
+sources (all but family and named) store no label; ``CorpusItem.label``
+encodes the graph when it is read.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from .families import (
     path,
     paw,
 )
-from .graph import Graph, GraphError, bits, from_edges, is_connected
+from .graph import Graph, GraphError, bits, from_edges, is_connected, popcount
 
-EXHAUSTIVE_LIMIT = 7
+EXHAUSTIVE_LIMIT = 8
 CUBIC_LIMIT = 14
 _CUBIC_RANGE = f"connected cubic corpus needs even 4 <= n <= {CUBIC_LIMIT}"
 
@@ -51,9 +53,15 @@ _CUBIC_RANGE = f"connected cubic corpus needs even 4 <= n <= {CUBIC_LIMIT}"
 @dataclass(frozen=True)
 class CorpusItem:
     graph: Graph
-    label: str
+    name: str | None = None
     family: str | None = None
     params: tuple[int, ...] = ()
+
+    @property
+    def label(self) -> str:
+        """The stored name of a family or named item, else the graph's
+        graph6 string, encoded on each read rather than kept."""
+        return graph6.emit(self.graph) if self.name is None else self.name
 
 
 # -- orbit pruning ----------------------------------------------------------
@@ -92,17 +100,24 @@ def exhaustive_classes(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class on exactly n vertices.
 
     Representatives on n vertices are built by attaching a new vertex
-    to subsets of every (n-1)-vertex representative; every class
-    arises this way because deleting any vertex of any n-vertex graph
-    leaves an (n-1)-vertex graph.  Subsets are visited in ascending
-    order, and a subset is skipped unless it is the smallest in its
-    orbit under the parent's automorphisms (isolated vertices
-    included): an automorphism maps the subset to a smaller one whose
-    candidate is isomorphic and came first.  The first candidate of
-    each class is therefore never skipped, and the representatives are
-    the ones an unpruned sweep keeps.  Certificates dedup the rest
-    (certificates ignore isolated vertices, which is sound here since
-    all candidates share the same order).
+    to subsets S of every (n-1)-vertex representative R, and only where
+    the new vertex then has maximum degree.  With Delta the maximum
+    degree of R, that keeps S when |S| > Delta, or when |S| = Delta and
+    S holds no vertex of degree Delta (such a vertex would reach
+    Delta + 1).  No class is lost: every class C has a vertex v of
+    maximum degree, C - v is isomorphic to some representative R, and
+    the isomorphism carries v's neighbours to a kept subset of R whose
+    candidate is isomorphic to C.
+
+    Kept subsets are visited in ascending order, and one is skipped
+    unless it is the smallest in its orbit under R's automorphisms
+    (isolated vertices included).  Automorphisms preserve degrees, so
+    the kept subsets are a union of orbits, and the skipped subset's
+    orbit holds a smaller kept one whose candidate is isomorphic and
+    came first.  Certificates dedup the rest, and each class is
+    represented by its first candidate (certificates ignore isolated
+    vertices, which is sound here since all candidates share the same
+    order).
     """
     if not 0 <= n <= EXHAUSTIVE_LIMIT:
         raise GraphError(f"exhaustive corpus built-in only for n <= {EXHAUSTIVE_LIMIT}")
@@ -111,11 +126,17 @@ def exhaustive_classes(n: int) -> tuple[Graph, ...]:
     reps: dict[bytes, Graph] = {}
     for g in exhaustive_classes(n - 1):
         gens = automorphism_generators(g)
+        delta = max(map(popcount, g.adj), default=0)
+        top = sum(1 << v for v, m in enumerate(g.adj) if popcount(m) == delta)
 
         def images(sub: int) -> list[int]:
             return [sum(1 << p[v] for v in bits(sub)) for p in gens]
 
-        for sub in _least_in_orbit(range(1 << (n - 1)), images):
+        kept = (
+            sub for sub in range(1 << (n - 1))
+            if popcount(sub) > delta or popcount(sub) == delta and not sub & top
+        )
+        for sub in _least_in_orbit(kept, images):
             adj = [m | ((sub >> v & 1) << (n - 1)) for v, m in enumerate(g.adj)]
             adj.append(sub)
             cand = Graph(n, tuple(adj))
@@ -352,13 +373,13 @@ def corpus_from_spec(spec: str) -> list[CorpusItem]:
     kind, _, rest = spec.partition(":")
     if kind == "exhaustive":
         return [
-            CorpusItem(g, graph6.emit(g))
+            CorpusItem(g)
             for n in parse_range(rest)
             for g in exhaustive_classes(n)
         ]
     if kind == "trees":
         return [
-            CorpusItem(g, graph6.emit(g))
+            CorpusItem(g)
             for n in parse_range(rest)
             for g in tree_classes(n)
         ]
@@ -367,7 +388,7 @@ def corpus_from_spec(spec: str) -> list[CorpusItem]:
         if not orders:
             raise GraphError(_CUBIC_RANGE)
         return [
-            CorpusItem(g, graph6.emit(g))
+            CorpusItem(g)
             for n in orders
             for g in connected_cubic_classes(n)
         ]
@@ -382,7 +403,7 @@ def corpus_from_spec(spec: str) -> list[CorpusItem]:
         max_n = _integer(fields[1], "random_forest MAXN")
         seed = _integer(fields[2], "random_forest SEED") if len(fields) == 3 else 0
         return [
-            CorpusItem(g, graph6.emit(g))
+            CorpusItem(g)
             for g in random_forests(count, max_n, seed)
         ]
     if kind == "file":
@@ -392,11 +413,11 @@ def corpus_from_spec(spec: str) -> list[CorpusItem]:
                 line = line.strip()
                 if line:
                     g = graph6.parse(line)
-                    out.append(CorpusItem(g, graph6.emit(g)))
+                    out.append(CorpusItem(g))
         return out
     if kind == "g6":
         g = graph6.parse(rest)
-        return [CorpusItem(g, graph6.emit(g))]
+        return [CorpusItem(g)]
     if kind == "named":
         return _named_corpus(rest)
     raise GraphError(

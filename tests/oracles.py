@@ -8,7 +8,9 @@ these exceptions: ``labeled_class_count`` dedups labelled graphs by
 extension, and ``exhaustive_classes`` and ``connected_cubic_classes``
 are the corpus generators as they were before orbit pruning (every
 candidate canonicalised), kept as the reference the pruned generators
-must reproduce exactly; ``compatibility_witness_reference`` and
+must reproduce exactly (the exhaustive one as a list of certificates,
+since the package keeps another representative of some classes), and
+the source of the representatives that pinned digests were taken on; ``compatibility_witness_reference`` and
 ``refine_reference`` are the compatible-matching search and the
 refinement as they were before pruning, kept for the same reason (the
 first still bounds its search with the package's blossom matching);
@@ -205,6 +207,34 @@ def exhaustive_classes(n: int) -> tuple[Graph, ...]:
             if cert not in reps:
                 reps[cert] = cand
     return tuple(reps[c] for c in sorted(reps))
+
+
+def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, by trying every permutation."""
+    edges = list(g.edges())
+    return [
+        p for p in permutations(range(g.n))
+        if all(g.has_edge(p[u], p[v]) for u, v in edges)
+    ]
+
+
+def max_degree_augmentation_orbits(n: int) -> int:
+    """Candidates the exhaustive corpus canonicalises to build order n.
+
+    For each (n-1)-vertex class R, count the orbits, under the whole of
+    Aut(R), of the subsets S for which a new vertex joined to S has the
+    largest degree of the enlarged graph.
+    """
+    total = 0
+    for r in exhaustive_classes(n - 1):
+        auts = brute_automorphisms(r)
+        orbits = set()
+        for sub in range(1 << r.n):
+            degs = [popcount(m) + (sub >> v & 1) for v, m in enumerate(r.adj)]
+            if popcount(sub) >= max(degs, default=0):
+                orbits.add(min(sum(1 << p[v] for v in bits(sub)) for p in auts))
+        total += len(orbits)
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,8 @@ gate and the measured time; the pytest verdict is the pass/fail signal.
 import math
 import time
 
+import pytest
+
 from matchgame.corpus import (
     connected_cubic_classes,
     corpus_from_spec,
@@ -66,21 +68,33 @@ def test_acceptance_02_path_table():
     _gate(2, "path values n=1..28 within thirds-of-sevenths bounds", 60.0, body)
 
 
-def test_acceptance_03_exhaustive_sweep():
-    def body():
-        corpus = corpus_from_spec("exhaustive:0..7")
-        for check in (
-            "diff_le_one",
-            "trivial_bounds",
-            "lower_two_thirds",
-            "upper_mu",
-            "monotone_delete",
-            "delete_drop_le2",
-        ):
-            report = run_check(check, corpus)
-            assert report.passed, f"{check}: {report.violations[:3]}"
+GATE_3_CHECKS = (
+    "diff_le_one",
+    "trivial_bounds",
+    "lower_two_thirds",
+    "upper_mu",
+    "monotone_delete",
+    "delete_drop_le2",
+)
 
-    _gate(3, "six value invariants across every class n <= 7", 600.0, body)
+
+def _sweep_value_invariants(spec: str) -> None:
+    corpus = corpus_from_spec(spec)
+    for check in GATE_3_CHECKS:
+        report = run_check(check, corpus)
+        assert report.passed, f"{check}: {report.violations[:3]}"
+
+
+def test_acceptance_03_exhaustive_sweep():
+    _gate(
+        3, "six value invariants across every class n <= 7", 600.0,
+        lambda: _sweep_value_invariants("exhaustive:0..7"),
+    )
+
+
+@pytest.mark.slow
+def test_gate_3_invariants_on_every_class_n8():
+    _sweep_value_invariants("exhaustive:8")
 
 
 def test_acceptance_04_oracle_equivalence():

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import pytest
 
-from matchgame.corpus import corpus_from_spec
+import oracles
+from matchgame.canon import canonical_certificate
+from matchgame.corpus import CorpusItem, corpus_from_spec
 from matchgame.graph import GraphError, induced_delete
 from matchgame.graph6 import parse
 from matchgame.solver import game_values
@@ -45,6 +49,24 @@ PAIRED = {
 
 def test_registry_is_covered():
     assert sorted(CHECKS) == sorted(UNIVERSAL + list(PAIRED))
+
+
+def _classes_and_expected(report):
+    return Counter(
+        (canonical_certificate(parse(v.witness)), v.expected) for v in report.violations
+    )
+
+
+def test_reports_do_not_depend_on_the_class_representatives():
+    # the corpus keeps another representative of some classes than the
+    # unpruned generator did: every check must still give the same
+    # verdict and the same violations, up to isomorphism of witnesses
+    corpus = corpus_from_spec("exhaustive:0..6")
+    reference = [CorpusItem(g) for n in range(7) for g in oracles.exhaustive_classes(n)]
+    for check in CHECKS:
+        got, want = run_check(check, corpus), run_check(check, reference)
+        assert (got.instances, got.passed) == (want.instances, want.passed), check
+        assert _classes_and_expected(got) == _classes_and_expected(want), check
 
 
 def test_unknown_check():
